@@ -170,11 +170,12 @@ def _cmd_query(args) -> int:
     try:
         writer = csv.writer(out)
         writer.writerow(("query_id", "rank", "item_id", "score"))
+        sq_norms = item_sq_norms(index) if args.ranking == "distance" else None
         for qi in range(queries.shape[0]):
             scores = scan_scores(queries[qi], index)
-            if args.ranking == "distance":
+            if sq_norms is not None:
                 q = queries[qi]
-                scores = -(q @ q - 2.0 * scores + item_sq_norms(index))
+                scores = -(q @ q - 2.0 * scores + sq_norms)
             ids = select_top_k(scores, args.k)
             for rank, item in enumerate(ids, start=1):
                 writer.writerow((qi, rank, int(item), f"{scores[item]:.9g}"))

@@ -21,7 +21,7 @@ MAX_CODEWORDS = 65535
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous read-only copy of ``a``."""
+    """Return a C-contiguous read-only copy of ``a`` (codes are column-major)."""
     out = np.ascontiguousarray(a)
     if out is a:
         out = out.copy()
@@ -176,6 +176,9 @@ class NormCodebook:
 class CodeMatrix:
     """``n x m`` integer codes; column ``j`` indexes codebook ``j``.
 
+    ``codes`` is a read-only copy stored column-major, as in the index
+    file, so every column is contiguous for the scan's gathers.
+
     Bounds are checked at construction so downstream decode never sees an
     out-of-range code.
     """
@@ -194,15 +197,16 @@ class CodeMatrix:
             raise InvalidInputError(
                 f"expected {codes.shape[1]} per-column bounds, got {len(k_stars)}"
             )
-        if codes.size and codes.min() < 0:
-            raise InvalidInputError("codes must be non-negative")
-        for j, k in enumerate(k_stars):
-            if codes.shape[0] and codes[:, j].max() >= k:
-                raise InvalidInputError(
-                    f"column {j} holds code {codes[:, j].max()} >= k_star={k}"
-                )
+        if codes.size:
+            if codes.min() < 0:
+                raise InvalidInputError("codes must be non-negative")
+            for j, (top, k) in enumerate(zip(codes.max(axis=0), k_stars)):
+                if top >= k:
+                    raise InvalidInputError(f"column {j} holds code {top} >= k_star={k}")
         width = code_dtype(max(k_stars, default=1))
-        object.__setattr__(self, "codes", _frozen(codes.astype(width)))
+        frozen = np.array(codes, dtype=width, order="F")
+        frozen.flags.writeable = False
+        object.__setattr__(self, "codes", frozen)
         object.__setattr__(self, "k_stars", k_stars)
 
     @property

@@ -46,8 +46,6 @@ from .core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, 
 from .errors import CorruptionError, InvalidInputError
 from .quantizers import (
     ADCTable,
-    PQIndex,
-    RQIndex,
     _subseeds,
     build_adc_table,
     build_stage_table,
@@ -114,6 +112,8 @@ class IndexArtifact:
             raise InvalidInputError("norm-explicit modes need at least one norm codebook")
         if self.codes.m != md.m:
             raise InvalidInputError("code matrix width disagrees with m")
+        if self.codes.n != md.n:
+            raise InvalidInputError(f"metadata n={md.n} disagrees with {self.codes.n} coded items")
         for cb in self.norm_codebooks:
             if not cb.signed and np.any(cb.values < 0):
                 raise InvalidInputError("stage-one norm codewords must be non-negative")
@@ -157,57 +157,28 @@ def train_index(
     For ``pq`` and ``rq`` the ``m`` codebooks are all vector codebooks
     (``m_prime`` is ignored); ``rq`` reads ``m`` as the stage count.
     """
-    if mode == "pq":
-        return pq_artifact(train_pq(dataset, m, k_star, params), seed=params.seed, params=params)
-    if mode == "rq":
-        return rq_artifact(
-            train_rq(dataset, m, k_star, params), D=dataset.dim, seed=params.seed, params=params
+    if mode in ("pq", "rq"):
+        if mode == "pq":
+            base = train_pq(dataset, m, k_star, params)
+            layout = base.layout
+        else:
+            base = train_rq(dataset, m, k_star, params)
+            layout = SubVectorLayout(D=dataset.dim, m_dir=1)
+        md = IndexMetadata(
+            D=dataset.dim, n=base.codes.n, m=len(base.codebooks), m_prime=0,
+            k_star=base.codebooks[0].k_star, seed=params.seed, params=params,
+        )
+        return IndexArtifact(
+            mode=mode,
+            layout=layout,
+            norm_codebooks=(),
+            dir_codebooks=base.codebooks,
+            codes=base.codes,
+            metadata=md,
         )
     if mode in ("neq_kmeans", "fuzzy2_neq"):
         return train_neq(dataset, m, m_prime, k_star, mode, params, measure=measure)
     raise InvalidInputError(f"unknown mode {mode!r}")
-
-
-def pq_artifact(index: PQIndex, seed: int = 0, params: ClusteringParams | None = None) -> IndexArtifact:
-    md = IndexMetadata(
-        D=index.layout.D,
-        n=index.codes.n,
-        m=index.layout.m_dir,
-        m_prime=0,
-        k_star=index.codebooks[0].k_star,
-        seed=seed,
-        params=params,
-    )
-    return IndexArtifact(
-        mode="pq",
-        layout=index.layout,
-        norm_codebooks=(),
-        dir_codebooks=index.codebooks,
-        codes=index.codes,
-        metadata=md,
-    )
-
-
-def rq_artifact(
-    index: RQIndex, D: int, seed: int = 0, params: ClusteringParams | None = None
-) -> IndexArtifact:
-    md = IndexMetadata(
-        D=D,
-        n=index.codes.n,
-        m=len(index.codebooks),
-        m_prime=0,
-        k_star=index.codebooks[0].k_star,
-        seed=seed,
-        params=params,
-    )
-    return IndexArtifact(
-        mode="rq",
-        layout=SubVectorLayout(D=D, m_dir=1),
-        norm_codebooks=(),
-        dir_codebooks=index.codebooks,
-        codes=index.codes,
-        metadata=md,
-    )
 
 
 def train_neq(
@@ -453,12 +424,12 @@ def scan_scores(
     codes = index.codes.codes[: index.n if limit is None else limit]
     r_total = np.zeros(codes.shape[0])
     for j in range(index.n_parts):
-        r_total += tables[j, codes[:, index.m_prime + j]]
+        r_total += tables[j].take(codes[:, index.m_prime + j])
     if index.m_prime == 0:
         return r_total
     l_total = np.zeros(codes.shape[0])
     for s, cb in enumerate(index.norm_codebooks):
-        l_total += cb.values[codes[:, s]]
+        l_total += cb.values.take(codes[:, s])
     return l_total * r_total
 
 
@@ -471,12 +442,12 @@ def item_sq_norms(index: IndexArtifact, limit: int | None = None) -> np.ndarray:
     dir_sq = np.zeros(codes.shape[0])
     for j, cb in enumerate(index.dir_codebooks):
         sq = np.einsum("ij,ij->i", cb.codewords, cb.codewords)
-        dir_sq += sq[codes[:, index.m_prime + j]]
+        dir_sq += sq.take(codes[:, index.m_prime + j])
     if index.m_prime == 0:
         return dir_sq
     l_total = np.zeros(codes.shape[0])
     for s, cb in enumerate(index.norm_codebooks):
-        l_total += cb.values[codes[:, s]]
+        l_total += cb.values.take(codes[:, s])
     return l_total * l_total * dir_sq
 
 
@@ -488,13 +459,12 @@ def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
         raise InvalidInputError(f"k={k} exceeds the {n} scanned items")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    neg = -scores
     if k < n:
-        kth = np.partition(neg, k - 1)[k - 1]
-        cand = np.flatnonzero(neg <= kth)
+        kth = np.partition(scores, n - k)[n - k]
+        cand = np.flatnonzero(scores >= kth)
     else:
         cand = np.arange(n)
-    order = cand[np.lexsort((cand, neg[cand]))]
+    order = cand[np.lexsort((cand, -scores[cand]))]
     return order[:k].astype(np.int64)
 
 

@@ -16,7 +16,7 @@ offset size    field
 Payload, in order: ``m_prime`` norm codebooks (k_star f32 each), then
 the vector codebooks (k_star x D_star f32, row-major; D_star is D for
 rq, otherwise D / (m - m_prime)), then the code matrix column-major
-(u8 when k_star <= 256, else u16).
+(u8 when k_star <= 256, else u16), the in-memory layout of ``CodeMatrix``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 
 
 def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
-    """Write the index with the documented byte-exact layout."""
+    """Write the index with the documented byte-exact layout, through a
+    temporary file beside ``path`` so a failed write leaves it untouched."""
     md = index.metadata
     header = _HEADER.pack(
         MAGIC,
@@ -58,11 +59,15 @@ def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
     for cb in index.dir_codebooks:
         chunks.append(np.ascontiguousarray(cb.codewords, dtype="<f4").tobytes())
     width = _code_dtype_le(md.k_star)
-    codes = index.codes.codes
-    for j in range(md.m):
-        chunks.append(codes[:, j].astype(width).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    chunks.append(np.ascontiguousarray(index.codes.codes.T, dtype=width).tobytes())
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _code_dtype_le(k_star: int) -> str:
@@ -121,13 +126,10 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
             dir_codebooks.append(Codebook(cw))
 
         width = np.dtype(_code_dtype_le(k_star))
-        columns = []
-        for j in range(m):
-            chunk, offset = _take(raw, offset, width.itemsize * n, f"code column {j}")
-            columns.append(np.frombuffer(chunk, dtype=width).astype(np.int64))
+        chunk, offset = _take(raw, offset, width.itemsize * n * m, "the code matrix")
         if offset != len(raw):
             raise CorruptionError(f"{len(raw) - offset} trailing bytes after the payload")
-        codes = CodeMatrix(np.column_stack(columns), k_stars=(k_star,) * m)
+        codes = CodeMatrix(np.frombuffer(chunk, dtype=width).reshape(m, n).T, k_stars=(k_star,) * m)
 
         metadata = IndexMetadata(
             D=D, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed, params=None

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fneq.cli import main
-from fneq.io import save_csv, save_fvecs
+from fneq.io import load_csv, save_csv, save_fvecs
+from fneq.neq import top_k
 from fneq.persist import load_index
 
 from conftest import make_mips_data
@@ -106,6 +107,32 @@ class TestQuery:
             rows = list(csv.reader(fh))[1:]
         for qi, row in enumerate(rows):
             assert int(row[2]) == int(np.argmax(items @ queries[qi]))
+
+    def test_distance_ranking_matches_top_k(self, workspace):
+        tmp, _, _ = workspace
+        self.build(tmp)
+        assert run(["query", "--index", tmp / "idx.fneq", "--queries", tmp / "queries.csv",
+                    "--k", 7, "--ranking", "distance", "--out", tmp / "dist.csv"]) == 0
+        index = load_index(tmp / "idx.fneq")
+        queries = load_csv(tmp / "queries.csv")
+        with open(tmp / "dist.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 7 * len(queries)
+        for qi, q in enumerate(queries):
+            ids, _ = top_k(q, index, 7, ranking="distance")
+            got = [int(r[2]) for r in rows if int(r[0]) == qi]
+            assert got == ids.tolist()
+
+    def test_header_n_disagreeing_with_codes_is_exit_2(self, workspace):
+        tmp, _, _ = workspace
+        self.build(tmp)
+        raw = bytearray((tmp / "idx.fneq").read_bytes())
+        n = int.from_bytes(raw[11:15], "little")
+        for bad_n in (n - 1, n + 1):
+            raw[11:15] = bad_n.to_bytes(4, "little")
+            (tmp / "bad.fneq").write_bytes(raw)
+            assert run(["query", "--index", tmp / "bad.fneq",
+                        "--queries", tmp / "queries.csv"]) == 2
 
     def test_empty_query_file(self, workspace):
         tmp, _, _ = workspace

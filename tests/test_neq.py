@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,15 @@ class TestEstimateInnerProduct:
         scanned = scan_scores(q, index)
         expected = [estimate_inner_product(q, row, index, adc) for row in index.codes.codes]
         np.testing.assert_allclose(scanned, expected, rtol=1e-12)
+
+
+class TestIndexArtifact:
+    def test_metadata_n_must_match_code_rows(self):
+        index = tiny_artifact([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [[0, 1], [1, 0], [1, 1]])
+        assert index.n == index.metadata.n == 3
+        for bad_n in (2, 4):
+            with pytest.raises(InvalidInputError, match="n=.*disagrees"):
+                replace(index, metadata=replace(index.metadata, n=bad_n))
 
 
 class TestReencode:

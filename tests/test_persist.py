@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fneq.persist
+
 from fneq.clustering import ClusteringParams
 from fneq.core import Dataset
 from fneq.errors import CorruptionError
@@ -67,6 +69,52 @@ class TestRoundTrip:
         save_index(path, index)
         loaded = load_index(path)
         np.testing.assert_array_equal(loaded.codes.codes, index.codes.codes)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_existing_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.fneq"
+        save_index(path, trained("neq_kmeans", 3, 1, seed=9))
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the first chunk, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, chunks):
+                self.fh.write(next(iter(chunks)))
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            fneq.persist, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            save_index(path, trained("pq", 3, 0, seed=10))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.fneq"]
+
+    def test_overwrite_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "index.fneq"
+        save_index(path, trained("pq", 3, 0, seed=11, n=300))
+        save_index(path, trained("neq_kmeans", 3, 1, seed=12, n=40, dim=8))
+        assert load_index(path).n == 40
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.fneq"]
+
+    def test_codes_written_column_major(self, tmp_path):
+        index = trained("neq_kmeans", 3, 1, seed=13, n=50, dim=8)
+        path = tmp_path / "index.fneq"
+        save_index(path, index)
+        tail = path.read_bytes()[-3 * 50:]
+        assert tail == index.codes.codes.tobytes(order="F")
 
 
 class TestCorruption:

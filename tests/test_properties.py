@@ -1,0 +1,110 @@
+"""Property tests of the scan, top-k selection and persistence against
+the reference implementations in ``oracles.py`` and the per-item
+estimate."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fneq.core import Codebook, CodeMatrix, NormCodebook, SubVectorLayout
+from fneq.neq import (
+    IndexArtifact,
+    IndexMetadata,
+    estimate_inner_product,
+    query_tables,
+    scan_scores,
+    select_top_k,
+)
+from fneq.persist import load_index, save_index
+
+from oracles import full_sort_topk
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def random_artifact(seed: int, n: int, m_prime: int, n_parts: int, k_star: int) -> IndexArtifact:
+    """An index with random codebooks and uniformly random codes."""
+    rng = np.random.default_rng(seed)
+    d_star = int(rng.integers(1, 4))
+    layout = SubVectorLayout(D=n_parts * d_star, m_dir=n_parts)
+    norm_cbs = tuple(
+        NormCodebook(np.sort(rng.uniform(0.0 if s == 0 else -1.0, 3.0, k_star)), signed=s > 0)
+        for s in range(m_prime)
+    )
+    dir_cbs = tuple(Codebook(rng.normal(size=(k_star, d_star))) for _ in range(n_parts))
+    m = m_prime + n_parts
+    codes = CodeMatrix(rng.integers(0, k_star, size=(n, m)), k_stars=(k_star,) * m)
+    return IndexArtifact(
+        mode="neq_kmeans" if m_prime else "pq",
+        layout=layout,
+        norm_codebooks=norm_cbs,
+        dir_codebooks=dir_cbs,
+        codes=codes,
+        metadata=IndexMetadata(D=layout.D, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed),
+    )
+
+
+artifacts = st.builds(
+    random_artifact,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    m_prime=st.sampled_from([0, 1, 2]),
+    n_parts=st.integers(1, 4),
+    k_star=st.sampled_from([2, 16, 256, 300]),
+)
+
+
+@SETTINGS
+@given(index=artifacts, q_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_scan_equals_per_item_estimate_bit_for_bit(index, q_seed, data):
+    q = np.random.default_rng(q_seed).normal(size=index.layout.D)
+    adc = query_tables(q, index)
+    expected = np.array(
+        [estimate_inner_product(q, row, index, adc) for row in index.codes.codes]
+    )
+    assert index.codes.codes.dtype == (np.uint16 if index.metadata.k_star > 256 else np.uint8)
+    np.testing.assert_array_equal(scan_scores(q, index), expected)
+    limit = data.draw(st.integers(0, index.n), label="limit")
+    np.testing.assert_array_equal(scan_scores(q, index, limit=limit), expected[:limit])
+
+
+tied_scores = st.lists(
+    st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, -np.inf]), min_size=1, max_size=60
+)
+
+
+@SETTINGS
+@given(values=tied_scores, data=st.data())
+def test_select_top_k_equals_full_sort(values, data):
+    scores = np.array(values)
+    k = data.draw(st.one_of(st.just(len(values)), st.integers(0, len(values))), label="k")
+    np.testing.assert_array_equal(select_top_k(scores, k), full_sort_topk(scores, k))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 200),
+    m_prime=st.sampled_from([0, 1, 2]),
+    k_star=st.sampled_from([16, 300]),
+)
+def test_roundtrip_codes_are_frozen_columns_with_equal_scans(seed, n, m_prime, k_star):
+    index = random_artifact(seed, n, m_prime, 3, k_star)
+    q = np.random.default_rng(seed).normal(size=index.layout.D)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.fneq"
+        save_index(path, index)
+        loaded = load_index(path)
+    codes = loaded.codes.codes
+    assert not codes.flags.writeable
+    assert codes.flags.f_contiguous
+    assert all(codes[:, j].flags.c_contiguous for j in range(codes.shape[1]))
+    assert codes.dtype == index.codes.codes.dtype
+    np.testing.assert_array_equal(codes, index.codes.codes)
+    for limit in (None, n // 2):
+        np.testing.assert_array_equal(
+            scan_scores(q, loaded, limit=limit), scan_scores(q, index, limit=limit)
+        )
