@@ -140,7 +140,9 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _check_points(points: np.ndarray, c: int) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
+    """Validated points as a C-contiguous float64 array (a copy when the
+    input is a strided view such as a sub-space slice)."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must be a non-empty 2-D matrix")
     if not np.all(np.isfinite(points)):
@@ -170,38 +172,61 @@ def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = squared_distances(points, centroids)
-    labels = d2.argmin(axis=1)
-    return labels, d2[np.arange(points.shape[0]), labels]
-
-
 def kmeans(points: np.ndarray, c: int, params: ClusteringParams) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, run until the assignment
     stabilizes (so both optimality conditions hold at termination).
 
     Empty clusters are re-seeded from the point farthest from its
     current centroid; inertia never increases across iterations.
+
+    Each step is bit-identical to a plain loop that takes every cell's
+    ``points[member].mean(axis=0)`` and recomputes all distances:
+
+    * Cell sums come from one weighted ``bincount`` per coordinate. It
+      adds a cell's members in ascending order, as numpy's row-by-row
+      sum over axis 0 does for ``d >= 2``, and then divides by the count
+      as ``mean`` does; both start from +0.0. Only ``d == 1`` keeps the
+      masked mean, because numpy sums a ``(cnt, 1)`` block pairwise.
+    * Empty cells are repaired after the means, in ascending order, from
+      the previous assignment's distances, which the means never read.
+    * The ``(c, n)`` distance matrix is kept across iterations and only
+      the rows of centroids that changed are recomputed: each ``cdist``
+      entry depends on one centroid and one point alone, and its terms
+      ``(a - b)**2`` do not depend on the argument order.
+    * ``closest`` is each column's minimum and a label is the first row
+      equal to it: ``argmin``'s lowest-index tie rule. (``argmin(axis=0)``
+      copies the float matrix transposed first; this copies a boolean.)
     """
     points = _check_points(points, c)
     rng = np.random.default_rng(params.seed)
     centroids = kmeans_plusplus(points, c, rng)
+    columns = points.T.copy() if points.shape[1] > 1 else None
 
-    labels, closest = _assign(points, centroids)
+    d2 = squared_distances(centroids, points)
+    closest = d2.min(axis=0)
+    labels = (d2 == closest).argmax(axis=0)
     history = [float(closest.sum())]
     converged = False
     n_iter = 0
     for n_iter in range(1, params.max_iters + 1):
-        for j in range(c):
-            member = labels == j
-            if member.any():
-                centroids[j] = points[member].mean(axis=0)
-            else:
-                far = int(np.argmax(closest))
-                if closest[far] > 0:
-                    centroids[j] = points[far]
-                    closest[far] = 0.0
-        new_labels, closest = _assign(points, centroids)
+        counts = np.bincount(labels, minlength=c)
+        filled = counts > 0
+        previous = centroids.copy()
+        if columns is None:
+            for j in np.flatnonzero(filled):
+                centroids[j] = points[labels == j].mean(axis=0)
+        else:
+            sums = np.stack([np.bincount(labels, weights=col, minlength=c) for col in columns], 1)
+            centroids[filled] = sums[filled] / counts[filled, None]
+        for j in np.flatnonzero(~filled):
+            far = int(np.argmax(closest))
+            if closest[far] > 0:
+                centroids[j] = points[far]
+                closest[far] = 0.0
+        moved = np.flatnonzero((centroids != previous).any(axis=1))
+        d2[moved] = squared_distances(centroids[moved], points)
+        closest = d2.min(axis=0)
+        new_labels = (d2 == closest).argmax(axis=0)
         history.append(float(closest.sum()))
         if np.array_equal(new_labels, labels):
             converged = True
@@ -341,30 +366,26 @@ def _scalar_lloyd(values: np.ndarray, k: int, max_iters: int) -> np.ndarray:
     return codewords
 
 
-def kmeans_scalar(values: np.ndarray, k: int, *, max_iters: int = 100) -> NormCodebook:
-    """Scalar Lloyd quantizer over non-negative values, codewords sorted."""
+def kmeans_scalar(
+    values: np.ndarray, k: int, *, signed: bool = False, max_iters: int = 100
+) -> NormCodebook:
+    """Scalar Lloyd quantizer, codewords sorted. Values must be
+    non-negative unless ``signed`` (the norm residual stages)."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise InvalidInputError("cannot train a norm codebook on no values")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("values must be finite")
-    if values.min() < 0:
+    if not signed and values.min() < 0:
         raise InvalidInputError("norm values must be non-negative")
     if k < 1:
         raise InvalidInputError("k must be at least 1")
-    return NormCodebook(_scalar_lloyd(values, k, max_iters))
+    return NormCodebook(_scalar_lloyd(values, k, max_iters), signed=signed)
 
 
 def kmeans_scalar_signed(values: np.ndarray, k: int, *, max_iters: int = 100) -> NormCodebook:
-    """Scalar Lloyd over signed values (norm residual stages)."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise InvalidInputError("cannot train a norm codebook on no values")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("values must be finite")
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
-    return NormCodebook(_scalar_lloyd(values, k, max_iters), signed=True)
+    """``kmeans_scalar(values, k, signed=True)``, kept under its old name."""
+    return kmeans_scalar(values, k, signed=True, max_iters=max_iters)
 
 
 def encode_scalar(values: np.ndarray, codebook: NormCodebook) -> np.ndarray:

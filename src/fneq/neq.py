@@ -40,7 +40,6 @@ from .clustering import (
     it2fpcm,
     kmeans,
     kmeans_scalar,
-    kmeans_scalar_signed,
 )
 from .core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms
 from .errors import CorruptionError, InvalidInputError
@@ -244,7 +243,7 @@ def train_neq(
         elif s == 0:
             values = kmeans_scalar(residual, k_star).values
         else:
-            values = kmeans_scalar_signed(residual, k_star).values
+            values = kmeans_scalar(residual, k_star, signed=True).values
         cb = NormCodebook(_f32_exact(values), signed=s > 0)
         idx = encode_scalar(residual, cb)
         residual = residual - cb.values[idx]

@@ -113,20 +113,21 @@ def decode(
 def train_pq(
     dataset: Dataset, m_dir: int, k_star: int, params: ClusteringParams
 ) -> PQIndex:
-    """Independent k-means per sub-space, then encode every item."""
+    """Independent k-means per sub-space. Each item's code is its final
+    k-means assignment, which is its nearest codeword."""
     layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
     if k_star > dataset.n:
         raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
     seeds = _subseeds(params.seed, m_dir)
     codebooks = []
+    codes = np.empty((dataset.n, m_dir), dtype=np.int64)
     for j, sl in enumerate(layout.slices()):
         result = kmeans(dataset.items[:, sl], k_star, replace(params, seed=seeds[j]))
         codebooks.append(result.centroids)
-    codebooks = tuple(codebooks)
-    codes = encode_batch(dataset.items, codebooks, layout)
+        codes[:, j] = result.assignments
     return PQIndex(
         layout=layout,
-        codebooks=codebooks,
+        codebooks=tuple(codebooks),
         codes=CodeMatrix(codes, k_stars=(k_star,) * m_dir),
     )
 
@@ -135,7 +136,8 @@ def train_rq(
     dataset: Dataset, stages: int, k_star: int, params: ClusteringParams
 ) -> RQIndex:
     """Stage 1 clusters the raw data; every later stage clusters the
-    residual left by the previous reconstructions."""
+    residual left by the previous reconstructions. Codes are the final
+    k-means assignments, the nearest codeword of each stage."""
     if stages < 1:
         raise InvalidInputError("stages must be at least 1")
     if k_star > dataset.n:
@@ -146,11 +148,9 @@ def train_rq(
     codes = np.empty((dataset.n, stages), dtype=np.int64)
     for s in range(stages):
         result = kmeans(residual, k_star, replace(params, seed=seeds[s]))
-        cb = result.centroids
-        idx = nearest_codes(residual, cb)
-        residual = residual - cb.codewords[idx]
-        codebooks.append(cb)
-        codes[:, s] = idx
+        residual = residual - result.centroids.codewords[result.assignments]
+        codebooks.append(result.centroids)
+        codes[:, s] = result.assignments
     return RQIndex(
         codebooks=tuple(codebooks),
         codes=CodeMatrix(codes, k_stars=(k_star,) * stages),

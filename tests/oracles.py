@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from fneq.clustering import kmeans_plusplus
+from fneq.clustering import KMeansResult, kmeans_plusplus, squared_distances
+from fneq.core import Codebook
 
 
 def brute_force_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -99,3 +100,48 @@ def fpcm_reference(
             break
         objective = new_objective
     return v, mu, tau
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d2 = squared_distances(points, centroids)
+    labels = d2.argmin(axis=1)
+    return labels, d2[np.arange(points.shape[0]), labels]
+
+
+def lloyd_reference(points: np.ndarray, c: int, params) -> KMeansResult:
+    """Lloyd k-means as a per-cluster loop: every cell's masked mean and
+    a full distance recomputation per iteration, on the points as given
+    (strided views included). Shares only the k-means++ seeding."""
+    points = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(params.seed)
+    centroids = kmeans_plusplus(points, c, rng)
+
+    labels, closest = _assign(points, centroids)
+    history = [float(closest.sum())]
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, params.max_iters + 1):
+        for j in range(c):
+            member = labels == j
+            if member.any():
+                centroids[j] = points[member].mean(axis=0)
+            else:
+                far = int(np.argmax(closest))
+                if closest[far] > 0:
+                    centroids[j] = points[far]
+                    closest[far] = 0.0
+        new_labels, closest = _assign(points, centroids)
+        history.append(float(closest.sum()))
+        if np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+
+    return KMeansResult(
+        centroids=Codebook(centroids),
+        assignments=labels,
+        inertia=history[-1],
+        n_iter=n_iter,
+        converged=converged,
+        inertia_history=tuple(history),
+    )

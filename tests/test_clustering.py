@@ -7,7 +7,6 @@ from fneq.clustering import (
     it2fpcm,
     kmeans,
     kmeans_scalar,
-    kmeans_scalar_signed,
     squared_distances,
     type_reduce,
 )
@@ -207,7 +206,7 @@ class TestKMeansScalar:
 
     def test_signed_variant_for_residuals(self):
         values = np.array([-0.5, -0.5, 0.75, 0.75])
-        cb = kmeans_scalar_signed(values, 2)
+        cb = kmeans_scalar(values, 2, signed=True)
         np.testing.assert_array_equal(cb.values, [-0.5, 0.75])
         with pytest.raises(InvalidInputError):
             kmeans_scalar(values, 2)

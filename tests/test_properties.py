@@ -1,6 +1,6 @@
-"""Property tests of the scan, top-k selection and persistence against
-the reference implementations in ``oracles.py`` and the per-item
-estimate."""
+"""Property tests of Lloyd k-means, the scan, top-k selection and
+persistence against the reference implementations in ``oracles.py`` and
+the per-item estimate."""
 
 import tempfile
 from pathlib import Path
@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fneq.clustering import ClusteringParams, kmeans
 from fneq.core import Codebook, CodeMatrix, NormCodebook, SubVectorLayout
 from fneq.neq import (
     IndexArtifact,
@@ -20,7 +21,7 @@ from fneq.neq import (
 )
 from fneq.persist import load_index, save_index
 
-from oracles import full_sort_topk
+from oracles import full_sort_topk, lloyd_reference
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -55,6 +56,50 @@ artifacts = st.builds(
     n_parts=st.integers(1, 4),
     k_star=st.sampled_from([2, 16, 256, 300]),
 )
+
+
+def lloyd_points(seed: int, n: int, d: int, distinct: int, values: str, layout: str) -> np.ndarray:
+    """``n`` rows drawn from ``distinct`` random rows, so k-means++ can
+    pick coincident seeds and cells can empty. ``values`` adds exact
+    ties (integers) or signed zeros; ``layout`` picks the memory view."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, 2 * d)) * 10.0 ** rng.integers(-3, 4)
+    if values == "integers":
+        base = np.round(base)
+    elif values != "normal":
+        base[rng.random(base.shape) < 0.4] = -0.0 if values == "negative zeros" else 0.0
+    wide = base[rng.integers(0, distinct, size=n)]
+    views = {
+        "contiguous": lambda: np.ascontiguousarray(wide[:, :d]),
+        "column slice": lambda: wide[:, d:],
+        "strided": lambda: wide[:, ::2],
+        "fortran": lambda: np.asfortranarray(wide[:, :d]),
+    }
+    return views[layout]()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    d=st.integers(1, 6),
+    values=st.sampled_from(["normal", "integers", "zeros", "negative zeros"]),
+    layout=st.sampled_from(["contiguous", "column slice", "strided", "fortran"]),
+    max_iters=st.integers(1, 30),
+    data=st.data(),
+)
+def test_kmeans_equals_lloyd_reference_bit_for_bit(seed, n, d, values, layout, max_iters, data):
+    distinct = data.draw(st.integers(1, n), label="distinct")
+    # Few clusters give large cells, where pairwise and sequential sums differ.
+    c = data.draw(st.one_of(st.integers(1, min(n, 3)), st.integers(1, n)), label="c")
+    points = lloyd_points(seed, n, d, distinct, values, layout)
+    params = ClusteringParams(seed=seed, max_iters=max_iters)
+    got = kmeans(points, c, params)
+    want = lloyd_reference(points, c, params)
+    assert got.centroids.codewords.tobytes() == want.centroids.codewords.tobytes()
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    assert got.inertia_history == want.inertia_history
+    assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
 
 
 @SETTINGS
