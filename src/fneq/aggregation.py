@@ -12,6 +12,12 @@ after an affine rescale of the pair onto [0, 1]. The affine map is
 order-preserving, so the integral's ordinal semantics survive, and the
 fused coordinate always stays inside the interval spanned by the two
 sources.
+
+Two distinct sources rescale to evaluations of exactly 0 and 1, so the
+integral reduces to ``min(w_s, g({s}))``: ``s`` is the bound with the
+larger coordinate, ``w_s`` its membership and ``g({s})`` its measure
+(``1/2`` under cardinality). The fused coordinate is
+``lo + min(w_s, g({s})) * (hi - lo)``.
 """
 
 from __future__ import annotations
@@ -111,22 +117,17 @@ def fuse_codebooks(
     Per cluster and dimension, the lower and upper centroid coordinates
     are rescaled onto [0, 1], weighted by their bound's aggregate
     membership, Sugeno-integrated and mapped back. Coordinates on which
-    both bounds agree pass through unchanged.
+    both bounds agree pass through unchanged. Uses the two-source closed
+    form of the module docstring, over all clusters and dimensions at once.
     """
     if measure is None:
         measure = FuzzyMeasure()
-    w_lo, w_up = cluster_weights(result)
+    w_lo, w_up = (w[:, None] for w in cluster_weights(result))
+    g_lo = measure.prefix_values(np.array([0, 1]))[0]
+    g_up = measure.prefix_values(np.array([1, 0]))[0]
     v_lo = result.centroids_lower
     v_up = result.centroids_upper
-    fused = v_lo.copy()
-    for i in range(v_lo.shape[0]):
-        mem = np.clip([w_lo[i], w_up[i]], 0.0, 1.0)
-        for d in range(v_lo.shape[1]):
-            a, b = v_lo[i, d], v_up[i, d]
-            if a == b:
-                continue
-            lo, hi = (a, b) if a < b else (b, a)
-            h = np.array([(a - lo), (b - lo)]) / (hi - lo)
-            s = sugeno_integral(SugenoInputs(h_values=h, memberships=mem), measure)
-            fused[i, d] = lo + s * (hi - lo)
-    return Codebook(fused)
+    top = np.where(v_up > v_lo, np.minimum(w_up, g_up), np.minimum(w_lo, g_lo))
+    lo = np.minimum(v_lo, v_up)
+    fused = lo + top * (np.maximum(v_lo, v_up) - lo)
+    return Codebook(np.where(v_lo == v_up, v_lo, fused))

@@ -124,12 +124,27 @@ def _load_matrix(path: str, fmt: str):
         raise _DataError(str(exc)) from exc
 
 
-def _cmd_train(args) -> int:
-    items = _load_matrix(args.data, args.format)
+def _load_dataset(path: str, fmt: str) -> Dataset:
+    items = _load_matrix(path, fmt)
     try:
-        dataset = Dataset(items)
+        return Dataset(items)
     except InvalidInputError as exc:
         raise _DataError(str(exc)) from exc
+
+
+def _load_queries(path: str, fmt: str, dim: int) -> QuerySet:
+    queries = _load_matrix(path, fmt)
+    try:
+        query_set = QuerySet(queries if queries.size else np.empty((0, dim)))
+    except InvalidInputError as exc:
+        raise _DataError(str(exc)) from exc
+    if query_set.count and query_set.dim != dim:
+        raise _DataError(f"queries have D={query_set.dim} but D={dim} is expected")
+    return query_set
+
+
+def _cmd_train(args) -> int:
+    dataset = _load_dataset(args.data, args.format)
     params = ClusteringParams(
         xi_lower=args.xi1,
         xi_upper=args.xi2,
@@ -158,11 +173,7 @@ def _cmd_query(args) -> int:
         index = load_index(args.index)
     except (OSError, CorruptionError) as exc:
         raise _DataError(str(exc)) from exc
-    queries = _load_matrix(args.queries, args.format)
-    if queries.size and queries.shape[1] != index.metadata.D:
-        raise _DataError(
-            f"queries have D={queries.shape[1]} but the index expects D={index.metadata.D}"
-        )
+    queries = _load_queries(args.queries, args.format, index.metadata.D).queries
     if args.k < 1 or args.k > index.n:
         raise _UsageError(f"--k must lie in [1, {index.n}]")
 
@@ -190,15 +201,8 @@ def _cmd_eval(args) -> int:
         index = load_index(args.index)
     except (OSError, CorruptionError) as exc:
         raise _DataError(str(exc)) from exc
-    items = _load_matrix(args.data, args.format)
-    queries = _load_matrix(args.queries, args.format)
-    try:
-        dataset = Dataset(items)
-        query_set = QuerySet(queries if queries.size else np.empty((0, dataset.dim)))
-    except InvalidInputError as exc:
-        raise _DataError(str(exc)) from exc
-    if query_set.count and query_set.dim != dataset.dim:
-        raise _DataError("queries and data disagree on dimensionality")
+    dataset = _load_dataset(args.data, args.format)
+    query_set = _load_queries(args.queries, args.format, dataset.dim)
     if args.truth_depth < 1 or args.truth_depth > dataset.n:
         raise _UsageError(f"--truth-depth must lie in [1, {dataset.n}]")
 
@@ -247,7 +251,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    points = _load_matrix(args.data, args.format)
+    dataset = _load_dataset(args.data, args.format)
     try:
         config = GAConfig(
             population=args.population,
@@ -258,16 +262,19 @@ def _cmd_tune(args) -> int:
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from exc
     params = ClusteringParams(seed=args.seed)
+    if args.objective == "recall":
+        if not args.queries:
+            raise _UsageError("--objective recall requires --queries")
+        query_set = _load_queries(args.queries, args.format, dataset.dim)
+        if not query_set.count:
+            raise _DataError("the recall objective needs at least one query")
     try:
         if args.objective == "mse":
-            objective = make_quantization_mse_objective(points, args.k_star, params)
+            objective = make_quantization_mse_objective(dataset.items, args.k_star, params)
         else:
-            if not args.queries:
-                raise _UsageError("--objective recall requires --queries")
-            queries = _load_matrix(args.queries, args.format)
             objective = make_recall_objective(
-                Dataset(points),
-                QuerySet(queries),
+                dataset,
+                query_set,
                 m=args.m,
                 m_prime=args.m_prime,
                 k_star=args.k_star,

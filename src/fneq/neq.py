@@ -12,6 +12,10 @@ Training (per item ``x``):
 5. quantize ``r`` with the norm codebooks (stage one on raw values,
    later stages on residuals).
 
+Training and ``reencode`` share one encoder for steps 3-5 (training
+fits each norm stage on the residual as it goes), so re-encoding the
+training corpus reproduces the trained codes exactly.
+
 Reconstruction multiplies the summed norm codewords with the
 concatenated direction codewords; the query-time estimate accumulates
 ``m_prime`` scalar codewords and ``m - m_prime`` table lookups and
@@ -201,14 +205,11 @@ def train_neq(
     m_dir = m - m_prime
     layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
 
-    norms = row_norms(dataset.items)
-    nonzero = norms > 0
-    n_directions = int(nonzero.sum())
-    if n_directions < k_star:
+    norms, nonzero, directions = _unit_directions(dataset.items)
+    if directions.shape[0] < k_star:
         raise InvalidInputError(
-            f"k_star={k_star} exceeds the {n_directions} items with a direction"
+            f"k_star={k_star} exceeds the {directions.shape[0]} items with a direction"
         )
-    directions = dataset.items[nonzero] / norms[nonzero, None]
 
     seeds = _subseeds(params.seed, m_dir)
     dir_codebooks = []
@@ -221,21 +222,10 @@ def train_neq(
             cb = fuse_codebooks(it2fpcm(sub, sub_params), measure)
         dir_codebooks.append(Codebook(_f32_exact(cb.codewords)))
     dir_codebooks = tuple(dir_codebooks)
+    dir_codes, relative = _encode_directions(norms, nonzero, directions, dir_codebooks, layout)
 
-    dir_codes = np.zeros((dataset.n, m_dir), dtype=np.int64)
-    dir_codes[nonzero] = encode_batch(directions, dir_codebooks, layout)
-
-    recon = decode(dir_codes[nonzero], dir_codebooks, layout)
-    recon_norms = np.maximum(row_norms(recon), _MIN_RECON_NORM)
-    relative = np.zeros(dataset.n)
-    relative[nonzero] = norms[nonzero] / recon_norms
-
-    norm_codebooks = []
-    norm_codes = np.zeros((dataset.n, m_prime), dtype=np.int64)
-    residual = relative
-    has_zero_rows = not bool(nonzero.all())
-    for s in range(m_prime):
-        if s == 0 and has_zero_rows:
+    def fit_stage(s: int, residual: np.ndarray) -> NormCodebook:
+        if s == 0 and not nonzero.all():
             # Zero-norm items must reconstruct to the zero vector, so the
             # zero point-mass gets its own exact codeword.
             tail = kmeans_scalar(residual[nonzero], k_star - 1).values
@@ -244,33 +234,56 @@ def train_neq(
             values = kmeans_scalar(residual, k_star).values
         else:
             values = kmeans_scalar(residual, k_star, signed=True).values
-        cb = NormCodebook(_f32_exact(values), signed=s > 0)
-        idx = encode_scalar(residual, cb)
-        residual = residual - cb.values[idx]
-        norm_codebooks.append(cb)
-        norm_codes[:, s] = idx
+        return NormCodebook(_f32_exact(values), signed=s > 0)
 
-    codes = CodeMatrix(
-        np.hstack([norm_codes, dir_codes]), k_stars=(k_star,) * m
-    )
+    norm_codebooks, norm_codes = _encode_norms(relative, m_prime, fit_stage)
     md = IndexMetadata(
-        D=dataset.dim,
-        n=dataset.n,
-        m=m,
-        m_prime=m_prime,
-        k_star=k_star,
-        seed=params.seed,
-        params=params,
+        D=dataset.dim, n=dataset.n, m=m, m_prime=m_prime,
+        k_star=k_star, seed=params.seed, params=params,
     )
     return IndexArtifact(
         mode=mode,
         layout=layout,
-        norm_codebooks=tuple(norm_codebooks),
+        norm_codebooks=norm_codebooks,
         dir_codebooks=dir_codebooks,
-        codes=codes,
+        codes=CodeMatrix(np.hstack([norm_codes, dir_codes]), k_stars=(k_star,) * m),
         metadata=md,
         measure=measure,
     )
+
+
+def _unit_directions(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row norms, the mask of non-zero rows and those rows at unit length."""
+    norms = row_norms(items)
+    nonzero = norms > 0
+    return norms, nonzero, items[nonzero] / norms[nonzero, None]
+
+
+def _encode_directions(norms, nonzero, directions, dir_codebooks, layout):
+    """Direction codes and relative norms ``||x|| / ||x_bar||``; all-zero
+    rows get code 0 everywhere and relative norm 0."""
+    dir_codes = np.zeros((norms.shape[0], layout.m_dir), dtype=np.int64)
+    relative = np.zeros(norms.shape[0])
+    dir_codes[nonzero] = encode_batch(directions, dir_codebooks, layout)
+    recon = decode(dir_codes[nonzero], dir_codebooks, layout)
+    relative[nonzero] = norms[nonzero] / np.maximum(row_norms(recon), _MIN_RECON_NORM)
+    return dir_codes, relative
+
+
+def _encode_norms(relative, m_prime, stage_codebook):
+    """Norm codebooks and codes of ``relative``, stage by stage on the
+    residual. ``stage_codebook(s, residual)`` gives stage ``s``'s
+    codebook: training fits it there, re-encoding looks it up."""
+    codebooks = []
+    codes = np.zeros((relative.shape[0], m_prime), dtype=np.int64)
+    residual = relative
+    for s in range(m_prime):
+        cb = stage_codebook(s, residual)
+        idx = encode_scalar(residual, cb)
+        residual = residual - cb.values[idx]
+        codebooks.append(cb)
+        codes[:, s] = idx
+    return tuple(codebooks), codes
 
 
 def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
@@ -296,36 +309,17 @@ def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
     elif index.mode == "pq":
         codes = encode_batch(dataset.items, index.dir_codebooks, index.layout)
     else:
-        norms = row_norms(dataset.items)
-        nonzero = norms > 0
-        m_dir = md.m - md.m_prime
-        dir_codes = np.zeros((dataset.n, m_dir), dtype=np.int64)
-        if nonzero.any():
-            directions = dataset.items[nonzero] / norms[nonzero, None]
-            dir_codes[nonzero] = encode_batch(directions, index.dir_codebooks, index.layout)
-            recon = decode(dir_codes[nonzero], index.dir_codebooks, index.layout)
-            recon_norms = np.maximum(row_norms(recon), _MIN_RECON_NORM)
-        relative = np.zeros(dataset.n)
-        if nonzero.any():
-            relative[nonzero] = norms[nonzero] / recon_norms
-        norm_codes = np.zeros((dataset.n, md.m_prime), dtype=np.int64)
-        residual = relative
-        for s, cb in enumerate(index.norm_codebooks):
-            idx = encode_scalar(residual, cb)
-            residual = residual - cb.values[idx]
-            norm_codes[:, s] = idx
+        dir_codes, relative = _encode_directions(
+            *_unit_directions(dataset.items), index.dir_codebooks, index.layout
+        )
+        _, norm_codes = _encode_norms(
+            relative, md.m_prime, lambda s, residual: index.norm_codebooks[s]
+        )
         codes = np.hstack([norm_codes, dir_codes])
-    return IndexArtifact(
-        mode=index.mode,
-        layout=index.layout,
-        norm_codebooks=index.norm_codebooks,
-        dir_codebooks=index.dir_codebooks,
+    return replace(
+        index,
         codes=CodeMatrix(codes, k_stars=index.codes.k_stars),
-        metadata=IndexMetadata(
-            D=md.D, n=dataset.n, m=md.m, m_prime=md.m_prime,
-            k_star=md.k_star, seed=md.seed, params=md.params,
-        ),
-        measure=index.measure,
+        metadata=replace(md, n=dataset.n),
     )
 
 
@@ -384,18 +378,13 @@ def estimate_inner_product(
     if adc is None:
         adc = query_tables(q, index)
     tables = adc.tables
-    l_total = 0.0 if index.m_prime else 1.0
-    for s, cb in enumerate(index.norm_codebooks):
-        code = int(codes[s])
-        if code >= cb.k_star:
-            raise CorruptionError(f"norm code {code} out of range at stage {s}")
-        l_total += float(cb.values[code])
-        if op_counter is not None:
-            op_counter.adds += 1
+    l_total = norm_factor(codes, index)
+    if op_counter is not None:
+        op_counter.adds += index.m_prime
     r_total = 0.0
     for j in range(index.n_parts):
         code = int(codes[index.m_prime + j])
-        if code >= index.dir_codebooks[j].k_star:
+        if code < 0 or code >= index.dir_codebooks[j].k_star:
             raise CorruptionError(f"direction code {code} out of range in part {j}")
         r_total += float(tables[j, code])
         if op_counter is not None:

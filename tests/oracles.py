@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from fneq.clustering import KMeansResult, kmeans_plusplus, squared_distances
+from fneq.aggregation import FuzzyMeasure, SugenoInputs, cluster_weights, sugeno_integral
+from fneq.clustering import FuzzyClusterResult, KMeansResult, kmeans_plusplus, squared_distances
 from fneq.core import Codebook
 
 
@@ -145,3 +146,26 @@ def lloyd_reference(points: np.ndarray, c: int, params) -> KMeansResult:
         converged=converged,
         inertia_history=tuple(history),
     )
+
+
+def fuse_reference(result: FuzzyClusterResult, measure: FuzzyMeasure | None = None) -> Codebook:
+    """Interval codebook fusion as a per-cluster, per-coordinate loop: a
+    validated two-source ``sugeno_integral`` for every coordinate where
+    the bounds differ."""
+    if measure is None:
+        measure = FuzzyMeasure()
+    w_lo, w_up = cluster_weights(result)
+    v_lo = result.centroids_lower
+    v_up = result.centroids_upper
+    fused = v_lo.copy()
+    for i in range(v_lo.shape[0]):
+        mem = np.clip([w_lo[i], w_up[i]], 0.0, 1.0)
+        for d in range(v_lo.shape[1]):
+            a, b = v_lo[i, d], v_up[i, d]
+            if a == b:
+                continue
+            lo, hi = (a, b) if a < b else (b, a)
+            h = np.array([(a - lo), (b - lo)]) / (hi - lo)
+            s = sugeno_integral(SugenoInputs(h_values=h, memberships=mem), measure)
+            fused[i, d] = lo + s * (hi - lo)
+    return Codebook(fused)

@@ -221,3 +221,24 @@ class TestTune:
         assert len(rows) == 10
         for row in rows[1:]:
             assert 2.0 <= float(row[0]) <= 12.0
+
+    @pytest.mark.parametrize("query_rows", [4, 0])
+    def test_recall_queries_of_other_dimension_or_none_are_exit_2(
+        self, tmp_path, capsys, query_rows
+    ):
+        rng = np.random.default_rng(6)
+        save_csv(tmp_path / "points.csv", rng.normal(size=(40, 6)))
+        save_csv(tmp_path / "queries.csv", rng.normal(size=(query_rows, 5)))
+        assert run(["tune", "--data", tmp_path / "points.csv", "--objective", "recall",
+                    "--queries", tmp_path / "queries.csv", "--k-star", 3,
+                    "--out-grid", tmp_path / "grid.csv"]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_empty_data_is_exit_2_as_for_train(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("")
+        assert run(["tune", "--data", tmp_path / "empty.csv",
+                    "--out-grid", tmp_path / "grid.csv"]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert run(["train", "--data", tmp_path / "empty.csv", "--mode", "pq", "--m", 1,
+                    "--k-star", 2, "--out", tmp_path / "idx.fneq"]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from fneq.clustering import ClusteringParams
 from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout
-from fneq.errors import InvalidInputError
+from fneq.errors import CorruptionError, InvalidInputError
 from fneq.evaluate import exact_topk
 from fneq.core import QuerySet
 from fneq.neq import (
@@ -179,6 +179,18 @@ class TestEstimateInnerProduct:
         assert counter.adds == cost["adds"] == 1
         assert counter.multiplies == cost["multiplies"] == 1
 
+    @pytest.mark.parametrize("position,part", [(0, "norm"), (1, "direction"), (2, "direction")])
+    def test_negative_codes_rejected_like_reconstruct(self, position, part):
+        data = Dataset(make_mips_data(60, 8, seed=11))
+        index = train_neq(data, m=3, m_prime=1, k_star=4, mode="neq_kmeans",
+                          params=ClusteringParams(seed=11))
+        row = index.codes.codes[0].astype(np.int64)
+        row[position] = -1
+        with pytest.raises(CorruptionError):
+            reconstruct(row, index)
+        with pytest.raises(CorruptionError, match=part):
+            estimate_inner_product(np.ones(8), row, index)
+
     def test_scan_matches_per_item_estimates(self):
         data = Dataset(make_mips_data(80, 8, seed=10))
         index = train_neq(data, m=3, m_prime=1, k_star=8, mode="neq_kmeans",
@@ -210,6 +222,13 @@ class TestReencode:
         again = reencode(index, data)
         np.testing.assert_array_equal(again.codes.codes, index.codes.codes)
         assert again.metadata == index.metadata
+
+    def test_all_zero_corpus_gets_code_zero(self):
+        data = Dataset(make_mips_data(60, 8, seed=24))
+        index = train_index(data, "neq_kmeans", 3, 1, 4, ClusteringParams(seed=24))
+        zero = reencode(index, Dataset(np.zeros((5, 8))))
+        np.testing.assert_array_equal(zero.codes.codes, np.zeros((5, 3)))
+        assert zero.n == zero.metadata.n == 5
 
     def test_new_items_are_scored_consistently(self):
         train = Dataset(make_mips_data(120, 8, seed=22))

@@ -1,27 +1,33 @@
-"""Property tests of Lloyd k-means, the scan, top-k selection and
-persistence against the reference implementations in ``oracles.py`` and
-the per-item estimate."""
+"""Property tests of Lloyd k-means, codebook fusion, NEQ encoding, the
+scan, top-k selection and persistence against the reference
+implementations in ``oracles.py``, re-encoding and the per-item
+estimate."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fneq.clustering import ClusteringParams, kmeans
-from fneq.core import Codebook, CodeMatrix, NormCodebook, SubVectorLayout
+from fneq.aggregation import FuzzyMeasure, fuse_codebooks
+from fneq.clustering import ClusteringParams, FuzzyClusterResult, kmeans
+from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout
+from fneq.errors import InvalidInputError
 from fneq.neq import (
     IndexArtifact,
     IndexMetadata,
     estimate_inner_product,
     query_tables,
+    reencode,
     scan_scores,
     select_top_k,
+    train_index,
 )
 from fneq.persist import load_index, save_index
 
-from oracles import full_sort_topk, lloyd_reference
+from oracles import full_sort_topk, fuse_reference, lloyd_reference
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -100,6 +106,77 @@ def test_kmeans_equals_lloyd_reference_bit_for_bit(seed, n, d, values, layout, m
     np.testing.assert_array_equal(got.assignments, want.assignments)
     assert got.inertia_history == want.inertia_history
     assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
+
+
+def interval_result(seed: int, c: int, d: int, n: int, collapse: float, levels: str):
+    """A ``FuzzyClusterResult`` from random arrays: the bounds agree on a
+    ``collapse`` share of the coordinates (some at -0.0), and memberships
+    are drawn from ``{0, 1}`` or the unit interval."""
+    rng = np.random.default_rng(seed)
+    lower = rng.normal(size=(c, d)) * 10.0 ** rng.integers(-3, 4)
+    lower[rng.random((c, d)) < 0.2] = -0.0
+    upper = np.where(rng.random((c, d)) < collapse, lower, lower + rng.normal(size=(c, d)))
+
+    def memberships():
+        if levels == "binary":
+            return rng.integers(0, 2, (c, n)).astype(float)
+        return rng.random((c, n))
+
+    a, b = memberships(), memberships()
+    return FuzzyClusterResult(
+        centroids_lower=lower, centroids_upper=upper,
+        membership_lower=np.minimum(a, b), membership_upper=np.maximum(a, b),
+        possibility_lower=np.minimum(a, b), possibility_upper=np.maximum(a, b),
+        objective=0.0, final_improvement=0.0, n_iter=1, converged=True,
+    )
+
+
+measures = st.one_of(
+    st.none(),
+    st.just(FuzzyMeasure()),
+    st.tuples(st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.sampled_from([0.0, 0.5, 1.0, 7.0]))
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: FuzzyMeasure(kind="explicit", weights=w)),
+)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 19),
+    d=st.integers(1, 11),
+    n=st.integers(1, 6),
+    collapse=st.sampled_from([0.0, 0.3, 1.0]),
+    levels=st.sampled_from(["binary", "uniform"]),
+    measure=measures,
+)
+def test_fuse_codebooks_equals_loop_reference_bit_for_bit(seed, c, d, n, collapse, levels, measure):
+    result = interval_result(seed, c, d, n, collapse, levels)
+    got = fuse_codebooks(result, measure).codewords
+    assert got.tobytes() == fuse_reference(result, measure).codewords.tobytes()
+    with pytest.raises(InvalidInputError):
+        fuse_codebooks(result, FuzzyMeasure(kind="explicit", weights=(1.0, 1.0, 1.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["neq_kmeans", "fuzzy2_neq"]),
+    m_prime=st.sampled_from([1, 2]),
+    k_star=st.integers(2, 8),
+    zero_share=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+def test_training_codes_equal_reencoded_codes(seed, mode, m_prime, k_star, zero_share):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3 * k_star, 90))
+    items = rng.normal(size=(n, 6)) * rng.lognormal(0.0, 0.8, size=(n, 1))
+    items[rng.permutation(n)[: int(zero_share * (n - k_star))]] = 0.0
+    dataset = Dataset(items)
+    params = ClusteringParams(seed=seed, max_iters=15)
+    index = train_index(dataset, mode, m_prime + 2, m_prime, k_star, params)
+    again = reencode(index, dataset).codes.codes
+    assert again.dtype == index.codes.codes.dtype
+    np.testing.assert_array_equal(again, index.codes.codes)
 
 
 @SETTINGS
