@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage errors, 2 data errors (unreadable or
 malformed inputs, mismatched dimensions, corrupt index files), 3
-training failures. ``FNEQ_THREADS`` caps internal parallelism
-(0 = auto).
+training failures. fneq starts no threads of its own, so
+``FNEQ_THREADS`` no longer sets any parallelism in it;
+``fneq.evaluate.thread_cap()`` still reads the variable because the
+benchmark records that value.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .core import Dataset, QuerySet
 from .errors import CorruptionError, InvalidInputError
 from .evaluate import (
     EvalConfig,
+    _checked_counts,
     bootstrap_eval,
     write_curve_csv,
     write_metrics_csv,
@@ -209,13 +212,9 @@ def _cmd_eval(args) -> int:
     counts = None
     if args.items_list:
         try:
-            counts = tuple(int(tok) for tok in args.items_list.split(","))
-        except ValueError as exc:
+            counts = tuple(_checked_counts(args.items_list.split(","), args.truth_depth, dataset.n))
+        except (ValueError, InvalidInputError) as exc:
             raise _UsageError(f"--items-list: {exc}") from exc
-        if any(c > dataset.n for c in counts):
-            raise _UsageError(f"--items-list entries must not exceed n={dataset.n}")
-        if any(c < args.truth_depth for c in counts):
-            raise _UsageError("--items-list entries must be at least the truth depth")
 
     md = index.metadata
     config = EvalConfig(

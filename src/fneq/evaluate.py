@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,15 +42,6 @@ def thread_cap() -> int:
     return cap if cap > 0 else (os.cpu_count() or 1)
 
 
-def _map_ordered(fn, items):
-    """Apply ``fn`` across items, in order, on up to ``thread_cap`` threads."""
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """Exact top-t ids per query, computed by exhaustive scan."""
@@ -72,8 +62,7 @@ def exact_topk(dataset: Dataset, queries: QuerySet, t: int) -> GroundTruth:
         raise InvalidInputError(f"t={t} must be within [1, {dataset.n}]")
     if queries.count and queries.dim != dataset.dim:
         raise InvalidInputError("queries and dataset disagree on dimensionality")
-    scores = queries.queries @ dataset.items.T
-    rows = _map_ordered(lambda s: select_top_k(s, t), list(scores))
+    rows = [select_top_k(s, t) for s in queries.queries @ dataset.items.T]
     ids = np.stack(rows) if rows else np.empty((0, t), dtype=np.int64)
     return GroundTruth(ids=ids, t=t)
 
@@ -110,6 +99,18 @@ def running_time(run) -> float:
     return time.perf_counter() - start
 
 
+def _checked_counts(item_counts, t: int, n: int) -> list[int]:
+    """Curve item counts as ints: strictly ascending, from ``t`` to ``n``."""
+    counts = [int(nc) for nc in item_counts]
+    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise InvalidInputError("item counts must be strictly ascending")
+    if counts[0] < t:
+        raise InvalidInputError(f"item counts must be at least t={t}")
+    if counts[-1] > n:
+        raise InvalidInputError("item counts exceed the available items")
+    return counts
+
+
 def recall_item_curve(
     index: IndexArtifact,
     dataset: Dataset,
@@ -122,28 +123,22 @@ def recall_item_curve(
     For each count ``N`` the first ``N`` items form the candidate pool
     (callers shuffle or bootstrap the dataset beforehand when sampling
     is wanted); the index must be aligned row-for-row with ``dataset``.
+
+    Each query is scanned once, over the largest count; every smaller
+    count reads a prefix of those scores, which equals a scan of that
+    prefix because the scan is elementwise. Each count's truth is the
+    exact top-t of its own prefix, from that prefix's own product: a
+    slice of a wider product can round differently.
     """
-    counts = [int(nc) for nc in item_counts]
-    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise InvalidInputError("item counts must be strictly ascending")
-    if counts[0] < t:
-        raise InvalidInputError(f"item counts must be at least t={t}")
-    if counts[-1] > dataset.n or counts[-1] > index.n:
-        raise InvalidInputError("item counts exceed the available items")
-
-    curve = []
-    for count in counts:
-        pool = dataset.items[:count]
-        exact = queries.queries @ pool.T
-
-        def one(i):
-            truth = select_top_k(exact[i], t)
-            approx = select_top_k(scan_scores(queries.queries[i], index, limit=count), t)
-            return recall(approx, truth)
-
-        values = _map_ordered(one, list(range(queries.count)))
-        curve.append((count, float(np.mean(values)) if values else 0.0))
-    return curve
+    counts = _checked_counts(item_counts, t, min(dataset.n, index.n))
+    qs = queries.queries
+    truths = [[select_top_k(s, t) for s in qs @ dataset.items[:count].T] for count in counts]
+    values = [[] for _ in counts]
+    for i, q in enumerate(qs):
+        scores = scan_scores(q, index, limit=counts[-1])
+        for truth, count, vals in zip(truths, counts, values):
+            vals.append(recall(select_top_k(scores[:count], t), truth[i]))
+    return [(count, float(np.mean(vals)) if vals else 0.0) for count, vals in zip(counts, values)]
 
 
 @dataclass(frozen=True)
@@ -198,19 +193,15 @@ class EvalReport:
         return float(np.mean(self.running_time_seconds))
 
 
-def _evaluate_index(index, truth, queries, k):
-    def one(i):
-        approx = select_top_k(scan_scores(queries.queries[i], index), k)
-        rel = truth.ids[i]
-        r = recall(approx, rel)
-        p = precision(approx, rel)
-        return r, p, f1(p, r)
-
-    triples = _map_ordered(one, list(range(queries.count)))
-    if not triples:
-        return 0.0, 0.0, 0.0
-    arr = np.asarray(triples)
-    return tuple(arr.mean(axis=0))
+def _query_metrics(index, truth: GroundTruth, queries: QuerySet, k: int) -> np.ndarray:
+    """One (recall, precision, F1) row per query for the index's top-k."""
+    rows = np.empty((queries.count, 3))
+    for i, q in enumerate(queries.queries):
+        approx = select_top_k(scan_scores(q, index), k)
+        r = recall(approx, truth.ids[i])
+        p = precision(approx, truth.ids[i])
+        rows[i] = r, p, f1(p, r)
+    return rows
 
 
 def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> EvalReport:
@@ -233,6 +224,8 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
     counts = config.item_counts
     if counts is None:
         counts = tuple(c for c in DEFAULT_ITEM_COUNTS if t <= c <= dataset.n)
+    if counts:
+        counts = _checked_counts(counts, t, dataset.n)
 
     truth = exact_topk(dataset, queries, t)
     rng = np.random.default_rng(seed)
@@ -254,7 +247,8 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
             measure=config.measure,
         )
         index = reencode(trained, dataset)
-        r, p, f = _evaluate_index(index, truth, queries, k)
+        rows = _query_metrics(index, truth, queries, k)
+        r, p, f = rows.mean(axis=0) if rows.size else (0.0, 0.0, 0.0)
         times.append(time.perf_counter() - start)
         recalls.append(r)
         precisions.append(p)

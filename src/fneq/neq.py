@@ -117,9 +117,6 @@ class IndexArtifact:
             raise InvalidInputError("code matrix width disagrees with m")
         if self.codes.n != md.n:
             raise InvalidInputError(f"metadata n={md.n} disagrees with {self.codes.n} coded items")
-        for cb in self.norm_codebooks:
-            if not cb.signed and np.any(cb.values < 0):
-                raise InvalidInputError("stage-one norm codewords must be non-negative")
         norm_cbs = tuple(
             NormCodebook(_f32_exact(cb.values), signed=cb.signed)
             for cb in self.norm_codebooks

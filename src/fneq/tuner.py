@@ -23,8 +23,8 @@ from .aggregation import FuzzyMeasure, fuse_codebooks
 from .clustering import ClusteringParams, it2fpcm
 from .core import Dataset, QuerySet
 from .errors import InvalidInputError
-from .evaluate import exact_topk, recall
-from .neq import scan_scores, select_top_k, train_index
+from .evaluate import _query_metrics, exact_topk
+from .neq import train_index
 from .quantizers import nearest_codes
 
 GRID_HEADER = ("xi1", "xi2", "cost")
@@ -193,15 +193,13 @@ def make_recall_objective(
 
     Retrains the whole index per evaluation; use small data.
     """
+    if not queries.count:
+        raise InvalidInputError("the recall objective needs at least one query")
     truth = exact_topk(dataset, queries, truth_depth)
 
     def objective(xi1: float, xi2: float) -> float:
         p = replace(params, xi_lower=xi1, xi_upper=xi2, eta_lower=xi1, eta_upper=xi2)
         index = train_index(dataset, "fuzzy2_neq", m, m_prime, k_star, p, measure=measure)
-        values = [
-            recall(select_top_k(scan_scores(queries.queries[i], index), truth_depth), truth.ids[i])
-            for i in range(queries.count)
-        ]
-        return -float(np.mean(values))
+        return -float(np.mean(_query_metrics(index, truth, queries, truth_depth)[:, 0]))
 
     return objective

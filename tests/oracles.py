@@ -11,6 +11,8 @@ import numpy as np
 from fneq.aggregation import FuzzyMeasure, SugenoInputs, cluster_weights, sugeno_integral
 from fneq.clustering import FuzzyClusterResult, KMeansResult, kmeans_plusplus, squared_distances
 from fneq.core import Codebook
+from fneq.evaluate import recall
+from fneq.neq import scan_scores, select_top_k
 
 
 def brute_force_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -169,3 +171,28 @@ def fuse_reference(result: FuzzyClusterResult, measure: FuzzyMeasure | None = No
             s = sugeno_integral(SugenoInputs(h_values=h, memberships=mem), measure)
             fused[i, d] = lo + s * (hi - lo)
     return Codebook(fused)
+
+
+def curve_reference(index, dataset, queries, item_counts, t: int) -> list[tuple[int, float]]:
+    """Recall-vs-item-count curve count by count: for every count, one
+    exact product of its prefix and one scan per query limited to it."""
+    curve = []
+    for count in [int(nc) for nc in item_counts]:
+        pool = dataset.items[:count]
+        exact = queries.queries @ pool.T
+        values = []
+        for i in range(queries.count):
+            truth = select_top_k(exact[i], t)
+            approx = select_top_k(scan_scores(queries.queries[i], index, limit=count), t)
+            values.append(recall(approx, truth))
+        curve.append((count, float(np.mean(values)) if values else 0.0))
+    return curve
+
+
+def recall_cost_reference(index, truth_ids: np.ndarray, queries, k: int) -> float:
+    """Negated mean recall@k over queries, one full scan per query."""
+    values = [
+        recall(select_top_k(scan_scores(queries.queries[i], index), k), truth_ids[i])
+        for i in range(queries.count)
+    ]
+    return -float(np.mean(values))

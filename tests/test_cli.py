@@ -205,6 +205,15 @@ class TestEval:
                     "--queries", tmp / "queries.csv", "--items-list", "50,200",
                     "--out-prefix", tmp / "r"]) == 1
 
+    @pytest.mark.parametrize("items_list", ["100,50", "50,50"])
+    def test_items_list_not_ascending_is_exit_1(self, workspace, items_list):
+        tmp, _, _ = workspace
+        assert run(["train", "--data", tmp / "items.csv", "--mode", "pq",
+                    "--m", 3, "--k-star", 8, "--out", tmp / "idx.fneq"]) == 0
+        assert run(["eval", "--index", tmp / "idx.fneq", "--data", tmp / "items.csv",
+                    "--queries", tmp / "queries.csv", "--items-list", items_list,
+                    "--out-prefix", tmp / "r"]) == 1
+
 
 class TestTune:
     def test_tune_writes_grid(self, tmp_path, capsys):

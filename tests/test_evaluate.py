@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import fneq.evaluate
 from fneq.clustering import ClusteringParams
 from fneq.core import Dataset, QuerySet
 from fneq.errors import InvalidInputError
@@ -214,6 +215,14 @@ class TestBootstrapEval:
     def test_iterations_validated(self):
         with pytest.raises(InvalidInputError):
             bootstrap_eval(self.make_config(), iterations=0)
+
+    @pytest.mark.parametrize("counts", [(60, 30), (30, 30), (3, 60), (30, 121)])
+    def test_bad_item_counts_rejected_before_training(self, monkeypatch, counts):
+        trained = []
+        monkeypatch.setattr(fneq.evaluate, "train_index", lambda *a, **kw: trained.append(a))
+        with pytest.raises(InvalidInputError):
+            bootstrap_eval(self.make_config(item_counts=counts), iterations=2)
+        assert trained == []
 
 
 class TestCsvWriters:

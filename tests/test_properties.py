@@ -1,7 +1,7 @@
 """Property tests of Lloyd k-means, codebook fusion, NEQ encoding, the
-scan, top-k selection and persistence against the reference
-implementations in ``oracles.py``, re-encoding and the per-item
-estimate."""
+scan, top-k selection, persistence and the recall curve against the
+reference implementations in ``oracles.py``, re-encoding and the
+per-item estimate."""
 
 import tempfile
 from pathlib import Path
@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from fneq.aggregation import FuzzyMeasure, fuse_codebooks
 from fneq.clustering import ClusteringParams, FuzzyClusterResult, kmeans
-from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout
+from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, QuerySet, SubVectorLayout
 from fneq.errors import InvalidInputError
+from fneq.evaluate import recall_item_curve
 from fneq.neq import (
     IndexArtifact,
     IndexMetadata,
@@ -27,15 +28,18 @@ from fneq.neq import (
 )
 from fneq.persist import load_index, save_index
 
-from oracles import full_sort_topk, fuse_reference, lloyd_reference
+from oracles import curve_reference, full_sort_topk, fuse_reference, lloyd_reference
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def random_artifact(seed: int, n: int, m_prime: int, n_parts: int, k_star: int) -> IndexArtifact:
+def random_artifact(
+    seed: int, n: int, m_prime: int, n_parts: int, k_star: int, d_star: int | None = None
+) -> IndexArtifact:
     """An index with random codebooks and uniformly random codes."""
     rng = np.random.default_rng(seed)
-    d_star = int(rng.integers(1, 4))
+    if d_star is None:
+        d_star = int(rng.integers(1, 4))
     layout = SubVectorLayout(D=n_parts * d_star, m_dir=n_parts)
     norm_cbs = tuple(
         NormCodebook(np.sort(rng.uniform(0.0 if s == 0 else -1.0, 3.0, k_star)), signed=s > 0)
@@ -230,3 +234,41 @@ def test_roundtrip_codes_are_frozen_columns_with_equal_scans(seed, n, m_prime, k
         np.testing.assert_array_equal(
             scan_scores(q, loaded, limit=limit), scan_scores(q, index, limit=limit)
         )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    m_prime=st.sampled_from([0, 1, 2]),
+    n_parts=st.integers(1, 3),
+    d_star=st.integers(1, 16),
+    k_star=st.sampled_from([2, 3, 16]),
+    integers=st.booleans(),
+    data=st.data(),
+)
+def test_recall_item_curve_equals_count_by_count_reference(
+    seed, n, m_prime, n_parts, d_star, k_star, integers, data
+):
+    index = random_artifact(seed, n, m_prime, n_parts, k_star, d_star)
+    rng = np.random.default_rng([seed, 1])
+    n_queries = data.draw(st.integers(0, 3), label="queries")
+    distinct = data.draw(st.integers(1, 3), label="distinct")
+    # Repeated rows tie in true score. Integer values tie exactly; real
+    # values tie up to how the matrix product rounds each column, which
+    # depends on the product's width, so a truth sliced from a wider
+    # product can rank them differently.
+    pool = rng.normal(size=(distinct + n_queries, index.layout.D))
+    if integers:
+        pool = np.round(2.0 * pool)
+    items = pool[rng.integers(0, distinct, size=n)]
+    queries = QuerySet(pool[distinct:])
+    counts = set(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4), label="counts"))
+    if data.draw(st.booleans(), label="all items"):
+        counts.add(n)
+    counts = sorted(counts)
+    dataset = Dataset(items)
+    for t in range(1, counts[0] + 1):
+        assert recall_item_curve(index, dataset, queries, counts, t) == curve_reference(
+            index, dataset, queries, counts, t
+        ), f"t={t}"

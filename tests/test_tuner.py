@@ -1,19 +1,25 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fneq.clustering import ClusteringParams
+from fneq.core import Dataset, QuerySet
 from fneq.errors import InvalidInputError
+from fneq.evaluate import exact_topk
+from fneq.neq import train_index
 from fneq.tuner import (
     GAConfig,
     ga_optimize,
     make_quantization_mse_objective,
+    make_recall_objective,
     write_grid_csv,
     xi_grid,
 )
 
-from conftest import make_gaussian_mixture
+from conftest import make_gaussian_mixture, make_mips_data
+from oracles import recall_cost_reference
 
 
 def convex_toy(x1, x2):
@@ -121,3 +127,22 @@ class TestMseObjective:
         points, _ = make_gaussian_mixture(50, 2, centers=2, seed=2)
         with pytest.raises(InvalidInputError):
             make_quantization_mse_objective(points, 2, ClusteringParams(), holdout_fraction=1.5)
+
+
+class TestRecallObjective:
+    params = ClusteringParams(seed=0, max_iters=20)
+
+    def test_empty_query_set_rejected(self):
+        data = Dataset(make_mips_data(60, 8, seed=3))
+        with pytest.raises(InvalidInputError):
+            make_recall_objective(data, QuerySet(np.empty((0, 8))), 3, 1, 4, self.params)
+
+    @pytest.mark.parametrize("n_queries", [1, 13, 37])
+    def test_cost_equals_negated_mean_of_per_query_recall_loop(self, n_queries):
+        data = Dataset(make_mips_data(240, 8, seed=3))
+        queries = QuerySet(np.random.default_rng(4).normal(size=(n_queries, 8)))
+        objective = make_recall_objective(data, queries, 3, 1, 8, self.params, truth_depth=5)
+        p = replace(self.params, xi_lower=2.0, xi_upper=2.5, eta_lower=2.0, eta_upper=2.5)
+        index = train_index(data, "fuzzy2_neq", 3, 1, 8, p)
+        expected = recall_cost_reference(index, exact_topk(data, queries, 5).ids, queries, 5)
+        assert objective(2.0, 2.5) == expected
