@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 usage errors, 2 data errors (unreadable or
 malformed inputs, mismatched dimensions, corrupt index files), 3
-training failures. fneq starts no threads of its own, so
-``FNEQ_THREADS`` no longer sets any parallelism in it;
-``fneq.evaluate.thread_cap()`` still reads the variable because the
-benchmark records that value.
+training failures.
+
+``FNEQ_THREADS`` caps the threads that fit the per-sub-space codebooks
+of pq, neq_kmeans and fuzzy2_neq; 0 or unset means the CPUs available.
+A value that is not a non-negative integer exits 1. RQ stages,
+re-encoding and queries stay single-threaded. Pinning
+``OPENBLAS_NUM_THREADS=1`` avoids oversubscription.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import io
 from .clustering import ClusteringParams
-from .core import Dataset, QuerySet
+from .core import Dataset, QuerySet, thread_cap
 from .errors import CorruptionError, InvalidInputError
 from .evaluate import (
     EvalConfig,
@@ -300,10 +303,20 @@ _COMMANDS = {
 }
 
 
+def _check_thread_env() -> None:
+    """Reject a malformed ``FNEQ_THREADS`` before any input is read;
+    training would otherwise fail on it only after loading the data."""
+    try:
+        thread_cap()
+    except InvalidInputError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_thread_env()
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"fneq {args.command}: {exc}", file=sys.stderr)

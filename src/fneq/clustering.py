@@ -286,6 +286,7 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
     v_lo = kmeans_plusplus(points, c, rng)
     v_up = v_lo.copy()
 
+    same_exponents = (params.eta_lower, params.eta_upper) == (params.xi_lower, params.xi_upper)
     objective = np.inf
     improvement = np.inf
     converged = False
@@ -294,7 +295,11 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
     for n_iter in range(1, params.max_iters + 1):
         d2 = squared_distances(points, (v_lo + v_up) / 2.0)
         mu_lo, mu_up = _interval_partition(d2, params.xi_lower, params.xi_upper)
-        tau_lo, tau_up = _interval_partition(d2, params.eta_lower, params.eta_upper)
+        if same_exponents:
+            # The same partition of the same distances: bit-identical.
+            tau_lo, tau_up = mu_lo, mu_up
+        else:
+            tau_lo, tau_up = _interval_partition(d2, params.eta_lower, params.eta_upper)
 
         w_lo = np.power(mu_lo + tau_lo, params.xi_lower)
         w_up = np.power(mu_up + tau_up, params.xi_lower)

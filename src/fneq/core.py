@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
         out = out.copy()
     out.flags.writeable = False
     return out
+
+
+def thread_cap() -> int:
+    """Threads that fit per-sub-space codebooks, from ``FNEQ_THREADS``.
+
+    ``0`` or unset means the CPUs this process may run on (its affinity
+    mask where the platform reports one). Raises ``InvalidInputError``
+    for a value that is not a non-negative integer.
+    """
+    raw = os.environ.get("FNEQ_THREADS", "0").strip() or "0"
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise InvalidInputError(f"FNEQ_THREADS={raw!r} is not an integer") from exc
+    if cap < 0:
+        raise InvalidInputError(f"FNEQ_THREADS={raw!r} must be non-negative")
+    if cap:
+        return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:

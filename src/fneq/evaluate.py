@@ -11,7 +11,6 @@ recall-vs-item-count curve.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -20,6 +19,7 @@ import numpy as np
 from .aggregation import FuzzyMeasure
 from .clustering import ClusteringParams
 from .core import Dataset, QuerySet, _frozen
+from .core import thread_cap  # noqa: F401  (kept here: bench/run.py records it)
 from .errors import InvalidInputError
 from .neq import IndexArtifact, reencode, scan_scores, select_top_k, train_index
 
@@ -28,18 +28,6 @@ DEFAULT_ITEM_COUNTS = (2048, 4096, 8192, 16384, 32768)
 
 METRICS_HEADER = ("method", "dataset", "items", "recall", "precision", "f1", "time_s", "std")
 CURVE_HEADER = ("items", "recall")
-
-
-def thread_cap() -> int:
-    """Worker cap from ``FNEQ_THREADS`` (0 or unset means auto)."""
-    raw = os.environ.get("FNEQ_THREADS", "0").strip() or "0"
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"FNEQ_THREADS={raw!r} is not an integer") from exc
-    if cap < 0:
-        raise InvalidInputError("FNEQ_THREADS must be non-negative")
-    return cap if cap > 0 else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, 
 from .errors import CorruptionError, InvalidInputError
 from .quantizers import (
     ADCTable,
-    _subseeds,
+    _map_subspaces,
     build_adc_table,
     build_stage_table,
     decode,
@@ -208,17 +208,16 @@ def train_neq(
             f"k_star={k_star} exceeds the {directions.shape[0]} items with a direction"
         )
 
-    seeds = _subseeds(params.seed, m_dir)
-    dir_codebooks = []
-    for j, sl in enumerate(layout.slices()):
+    def fit_direction(seed: int, sl: slice) -> Codebook:
         sub = directions[:, sl]
-        sub_params = replace(params, seed=seeds[j], c=k_star)
+        sub_params = replace(params, seed=seed, c=k_star)
         if mode == "neq_kmeans":
             cb = kmeans(sub, k_star, sub_params).centroids
         else:
             cb = fuse_codebooks(it2fpcm(sub, sub_params), measure)
-        dir_codebooks.append(Codebook(_f32_exact(cb.codewords)))
-    dir_codebooks = tuple(dir_codebooks)
+        return Codebook(_f32_exact(cb.codewords))
+
+    dir_codebooks = tuple(_map_subspaces(fit_direction, layout, params.seed))
     dir_codes, relative = _encode_directions(norms, nonzero, directions, dir_codebooks, layout)
 
     def fit_stage(s: int, residual: np.ndarray) -> NormCodebook:

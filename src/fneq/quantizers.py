@@ -4,12 +4,13 @@ with the norm-explicit index."""
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clustering import ClusteringParams, kmeans, squared_distances
-from .core import Codebook, CodeMatrix, Dataset, SubVectorLayout
+from .core import Codebook, CodeMatrix, Dataset, SubVectorLayout, thread_cap
 from .errors import CorruptionError, InvalidInputError
 
 
@@ -62,6 +63,19 @@ class ADCTable:
 def _subseeds(seed: int, count: int) -> list[int]:
     """Independent per-sub-quantizer seeds, deterministic in ``seed``."""
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _map_subspaces(fit, layout: SubVectorLayout, seed: int) -> list:
+    """``[fit(s, sl) for s, sl in zip(_subseeds(seed, m_dir), layout.slices())]``
+    on up to ``thread_cap()`` threads.
+
+    The fits are independent and release the GIL in their distance and
+    centroid kernels. Results come back in sub-space order and the first
+    failing sub-space's exception is raised as is, so the outcome does
+    not depend on the cap (``map`` cancels the fits not yet started).
+    """
+    with ThreadPoolExecutor(max_workers=min(thread_cap(), layout.m_dir)) as ex:
+        return list(ex.map(fit, _subseeds(seed, layout.m_dir), layout.slices()))
 
 
 def nearest_codes(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
@@ -118,17 +132,17 @@ def train_pq(
     layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
     if k_star > dataset.n:
         raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
-    seeds = _subseeds(params.seed, m_dir)
-    codebooks = []
-    codes = np.empty((dataset.n, m_dir), dtype=np.int64)
-    for j, sl in enumerate(layout.slices()):
-        result = kmeans(dataset.items[:, sl], k_star, replace(params, seed=seeds[j]))
-        codebooks.append(result.centroids)
-        codes[:, j] = result.assignments
+    results = _map_subspaces(
+        lambda seed, sl: kmeans(dataset.items[:, sl], k_star, replace(params, seed=seed)),
+        layout,
+        params.seed,
+    )
     return PQIndex(
         layout=layout,
-        codebooks=tuple(codebooks),
-        codes=CodeMatrix(codes, k_stars=(k_star,) * m_dir),
+        codebooks=tuple(r.centroids for r in results),
+        codes=CodeMatrix(
+            np.column_stack([r.assignments for r in results]), k_stars=(k_star,) * m_dir
+        ),
     )
 
 

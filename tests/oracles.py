@@ -9,7 +9,16 @@ from __future__ import annotations
 import numpy as np
 
 from fneq.aggregation import FuzzyMeasure, SugenoInputs, cluster_weights, sugeno_integral
-from fneq.clustering import FuzzyClusterResult, KMeansResult, kmeans_plusplus, squared_distances
+from fneq.clustering import (
+    ClusteringParams,
+    FuzzyClusterResult,
+    KMeansResult,
+    _check_points,
+    _interval_partition,
+    _weighted_centroids,
+    kmeans_plusplus,
+    squared_distances,
+)
 from fneq.core import Codebook
 from fneq.evaluate import recall
 from fneq.neq import scan_scores, select_top_k
@@ -103,6 +112,69 @@ def fpcm_reference(
             break
         objective = new_objective
     return v, mu, tau
+
+
+def it2fpcm_reference(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
+    """The library's interval type-2 fuzzy possibilistic c-means before
+    it reused the memberships as possibilities at equal exponents; it
+    computes the possibility partition on every iteration.
+
+    Returns interval memberships, possibilities and per-bound centroids.
+    If the objective has not improved by less than ``epsilon`` within
+    ``max_iters`` iterations, the best-so-far state is returned with
+    ``converged=False``.
+    """
+    c = params.c
+    points = _check_points(points, c)
+    rng = np.random.default_rng(params.seed)
+    v_lo = kmeans_plusplus(points, c, rng)
+    v_up = v_lo.copy()
+
+    objective = np.inf
+    improvement = np.inf
+    converged = False
+    n_iter = 0
+    best = None
+    for n_iter in range(1, params.max_iters + 1):
+        d2 = squared_distances(points, (v_lo + v_up) / 2.0)
+        mu_lo, mu_up = _interval_partition(d2, params.xi_lower, params.xi_upper)
+        tau_lo, tau_up = _interval_partition(d2, params.eta_lower, params.eta_upper)
+
+        w_lo = np.power(mu_lo + tau_lo, params.xi_lower)
+        w_up = np.power(mu_up + tau_up, params.xi_lower)
+        v_lo = _weighted_centroids(points, w_lo)
+        v_up = _weighted_centroids(points, w_up)
+
+        # Weighted mean distortion over both bounds. Normalizing by the
+        # weight mass keeps the epsilon test meaningful at high
+        # fuzziness exponents, where raw weights are vanishingly small.
+        num = (w_lo * squared_distances(points, v_lo)).sum()
+        num += (w_up * squared_distances(points, v_up)).sum()
+        new_objective = float(num / (w_lo.sum() + w_up.sum()))
+        improvement = abs(objective - new_objective)
+        objective = new_objective
+        if best is None or objective < best[0]:
+            best = (objective, v_lo, v_up, mu_lo, mu_up, tau_lo, tau_up)
+        if improvement < params.epsilon:
+            converged = True
+            break
+
+    if not converged:
+        # Iteration budget exhausted: hand back the best state seen.
+        objective, v_lo, v_up, mu_lo, mu_up, tau_lo, tau_up = best
+
+    return FuzzyClusterResult(
+        centroids_lower=v_lo,
+        centroids_upper=v_up,
+        membership_lower=mu_lo.T,
+        membership_upper=mu_up.T,
+        possibility_lower=tau_lo.T,
+        possibility_upper=tau_up.T,
+        objective=objective,
+        final_improvement=float(improvement),
+        n_iter=n_iter,
+        converged=converged,
+    )
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -72,6 +72,33 @@ class TestTrain:
         assert exc.value.code == 1
 
 
+class TestThreadEnv:
+    @pytest.mark.parametrize("value", ["lots", "-1"])
+    def test_malformed_fneq_threads_is_exit_1_before_reading_data(
+        self, workspace, monkeypatch, capsys, value
+    ):
+        tmp, _, _ = workspace
+        assert run(["train", "--data", tmp / "items.csv", "--mode", "pq",
+                    "--m", 3, "--k-star", 8, "--out", tmp / "idx.fneq"]) == 0
+        monkeypatch.setenv("FNEQ_THREADS", value)
+
+        def no_reading(*args):
+            raise AssertionError("input read before FNEQ_THREADS was checked")
+
+        monkeypatch.setattr("fneq.cli.io.load_matrix", no_reading)
+        monkeypatch.setattr("fneq.cli.load_index", no_reading)
+        capsys.readouterr()
+        assert run(["train", "--data", tmp / "items.csv", "--mode", "neq_kmeans",
+                    "--m", 3, "--m-prime", 1, "--k-star", 8, "--out", tmp / "new.fneq"]) == 1
+        assert "FNEQ_THREADS" in capsys.readouterr().err
+        assert not (tmp / "new.fneq").exists()
+        assert run(["eval", "--index", tmp / "idx.fneq", "--data", tmp / "items.csv",
+                    "--queries", tmp / "queries.csv", "--iterations", 1,
+                    "--items-list", "50", "--out-prefix", tmp / "r"]) == 1
+        assert "FNEQ_THREADS" in capsys.readouterr().err
+        assert not (tmp / "r_metrics.csv").exists()
+
+
 class TestQuery:
     def build(self, tmp):
         assert run(["train", "--data", tmp / "items.csv", "--mode", "neq_kmeans",

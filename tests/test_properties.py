@@ -1,4 +1,4 @@
-"""Property tests of Lloyd k-means, codebook fusion, NEQ encoding, the
+"""Property tests of Lloyd k-means, IT2FPCM, codebook fusion, NEQ encoding, the
 scan, top-k selection, persistence and the recall curve against the
 reference implementations in ``oracles.py``, re-encoding and the
 per-item estimate."""
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fneq.aggregation import FuzzyMeasure, fuse_codebooks
-from fneq.clustering import ClusteringParams, FuzzyClusterResult, kmeans
+from fneq.clustering import ClusteringParams, FuzzyClusterResult, it2fpcm, kmeans
 from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, QuerySet, SubVectorLayout
 from fneq.errors import InvalidInputError
 from fneq.evaluate import recall_item_curve
@@ -28,7 +28,13 @@ from fneq.neq import (
 )
 from fneq.persist import load_index, save_index
 
-from oracles import curve_reference, full_sort_topk, fuse_reference, lloyd_reference
+from oracles import (
+    curve_reference,
+    full_sort_topk,
+    fuse_reference,
+    it2fpcm_reference,
+    lloyd_reference,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -160,6 +166,66 @@ def test_fuse_codebooks_equals_loop_reference_bit_for_bit(seed, c, d, n, collaps
     assert got.tobytes() == fuse_reference(result, measure).codewords.tobytes()
     with pytest.raises(InvalidInputError):
         fuse_codebooks(result, FuzzyMeasure(kind="explicit", weights=(1.0, 1.0, 1.0)))
+
+
+def _fuzzy_outcome(points: np.ndarray, params: ClusteringParams, trainer) -> tuple:
+    """Every field of the trainer's result as bytes, or the error it raised."""
+    try:
+        r = trainer(points, params)
+    except InvalidInputError as exc:
+        return ("raised", str(exc))
+    arrays = (
+        r.centroids_lower, r.centroids_upper, r.membership_lower,
+        r.membership_upper, r.possibility_lower, r.possibility_upper,
+    )
+    scalars = np.array([r.objective, r.final_improvement], dtype=np.float64)
+    return (
+        tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays),
+        scalars.tobytes(), r.n_iter, r.converged,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    d=st.integers(1, 5),
+    values=st.sampled_from(["normal", "integers", "zeros"]),
+    xi_lower=st.floats(1.05, 12.0),
+    xi_width=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    eta=st.sampled_from(["default", "equal", "apart", "apart, collapsed", "lower", "upper"]),
+    max_iters=st.integers(1, 20),
+    epsilon=st.sampled_from([1e-12, 1e-5, 1e-2]),
+    data=st.data(),
+)
+def test_it2fpcm_equals_reference_bit_for_bit(
+    seed, n, d, values, xi_lower, xi_width, eta, max_iters, epsilon, data
+):
+    points = lloyd_points(seed, n, d, data.draw(st.integers(1, n)), values, "contiguous")
+    xi_upper = xi_lower + xi_width
+    # "lower" and "upper" share one end of the interval with xi.
+    etas = {
+        "default": {},
+        "equal": {"eta_lower": xi_lower, "eta_upper": xi_upper},
+        "lower": {"eta_lower": xi_lower, "eta_upper": xi_upper + data.draw(st.floats(0.01, 3.0))},
+        "upper": {
+            "eta_lower": data.draw(st.floats(1.01, xi_lower).filter(lambda e: e != xi_lower)),
+            "eta_upper": xi_upper,
+        },
+    }
+    if eta.startswith("apart"):
+        eta_lower = data.draw(st.floats(1.05, 12.0).filter(lambda e: e != xi_lower))
+        eta_upper = eta_lower if eta.endswith("collapsed") else eta_lower + data.draw(
+            st.floats(0.01, 3.0)
+        )
+        etas[eta] = {"eta_lower": eta_lower, "eta_upper": eta_upper}
+    params = ClusteringParams(
+        c=data.draw(st.integers(1, min(n, 6))), xi_lower=xi_lower, xi_upper=xi_upper,
+        epsilon=epsilon, max_iters=max_iters, seed=seed, **etas[eta],
+    )
+    assert _fuzzy_outcome(points, params, it2fpcm) == _fuzzy_outcome(
+        points, params, it2fpcm_reference
+    )
 
 
 @settings(max_examples=30, deadline=None)
