@@ -2,14 +2,15 @@
 
 PQ splits vectors into sub-spaces and quantizes each independently; RQ
 quantizes the whole vector, then quantizes what is left, stage by
-stage. The ADC table turns either into a cheap inner-product scan.
+stage. Both run through the same decoder and ADC table: RQ's stages sit
+on one full-width sub-space, so their codewords add up. The ADC table
+turns either into a cheap inner-product scan.
 """
 
 import numpy as np
 
-from fneq import Dataset, decode, train_pq, train_rq
+from fneq import Dataset, SubVectorLayout, build_adc_table, decode, train_pq, train_rq
 from fneq.clustering import ClusteringParams
-from fneq.quantizers import build_adc_table, rq_decode
 
 rng = np.random.default_rng(13)
 data = Dataset(rng.normal(size=(5000, 32)))
@@ -25,7 +26,7 @@ for m_dir in (2, 4, 8):
 print("-- residual quantization --")
 for stages in (1, 2, 3):
     index = train_rq(data, stages=stages, k_star=32, params=params)
-    recon = rq_decode(index.codes.codes, index.codebooks)
+    recon = decode(index.codes.codes, index.codebooks, SubVectorLayout(D=32, m_dir=1))
     err = np.mean(np.linalg.norm(data.items - recon, axis=1))
     print(f"stages={stages}: mean residual norm {err:.4f}")
 

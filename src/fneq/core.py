@@ -108,9 +108,12 @@ class QuerySet:
 class SubVectorLayout:
     """How a ``D``-dimensional vector splits into equal sub-vectors.
 
-    ``m_dir`` is the number of sub-quantizers operating on vector
-    coordinates; it must divide ``D`` exactly and each sub-vector covers
-    ``D_star = D // m_dir`` consecutive dimensions.
+    ``m_dir`` is the number of sub-spaces; it must divide ``D`` exactly
+    and each sub-vector covers ``D_star = D // m_dir`` consecutive
+    dimensions. Direction codebook ``j`` quantizes sub-space
+    ``j % m_dir`` of the residual that earlier codebooks on that
+    sub-space leave: product quantization has one codebook per sub-space,
+    residual quantization stacks its stages on ``m_dir = 1``.
     """
 
     D: int

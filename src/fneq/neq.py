@@ -27,8 +27,8 @@ training, carry relative norm 0 and code 0 everywhere, and reconstruct
 to (near) zero once the norm codebook learns a zero codeword.
 
 The plain ``pq`` and ``rq`` baselines run through the same artifact and
-scan with zero norm codebooks (norm factor fixed at 1); residual stages
-sum full-dimension codewords instead of concatenating sub-vectors.
+scan with zero norm codebooks (norm factor fixed at 1); ``rq`` stacks its
+stages on one full-width sub-space, where the shared kernels sum them.
 """
 
 from __future__ import annotations
@@ -51,11 +51,8 @@ from .quantizers import (
     ADCTable,
     _map_subspaces,
     build_adc_table,
-    build_stage_table,
     decode,
     encode_batch,
-    nearest_codes,
-    rq_decode,
     train_pq,
     train_rq,
 )
@@ -122,6 +119,16 @@ class IndexArtifact:
             for cb in self.norm_codebooks
         )
         dir_cbs = tuple(Codebook(_f32_exact(cb.codewords)) for cb in self.dir_codebooks)
+        layout = self.layout
+        if layout.D != md.D:
+            raise InvalidInputError(f"layout D={layout.D} disagrees with metadata D={md.D}")
+        if any(cb.dim != layout.D_star for cb in self.dir_codebooks):
+            raise InvalidInputError(f"direction codebooks must have width D_star={layout.D_star}")
+        if self.mode == "rq":
+            if layout.m_dir != 1:
+                raise InvalidInputError("rq stages need a layout with m_dir=1")
+        elif len(self.dir_codebooks) != layout.m_dir:
+            raise InvalidInputError(f"expected one direction codebook per sub-space ({layout.m_dir})")
         object.__setattr__(self, "norm_codebooks", norm_cbs)
         object.__setattr__(self, "dir_codebooks", dir_cbs)
 
@@ -155,20 +162,17 @@ def train_index(
     """Train any supported index type behind one entry point.
 
     For ``pq`` and ``rq`` the ``m`` codebooks are all vector codebooks
-    (``m_prime`` is ignored); ``rq`` reads ``m`` as the stage count.
+    (``m_prime`` is ignored); ``rq`` reads ``m`` as the stage count. Their
+    codes come from the stored (float32) codebooks, as ``reencode`` gives.
     """
     if mode in ("pq", "rq"):
-        if mode == "pq":
-            base = train_pq(dataset, m, k_star, params)
-            layout = base.layout
-        else:
-            base = train_rq(dataset, m, k_star, params)
-            layout = SubVectorLayout(D=dataset.dim, m_dir=1)
+        base = (train_pq if mode == "pq" else train_rq)(dataset, m, k_star, params)
+        layout = SubVectorLayout(D=dataset.dim, m_dir=m if mode == "pq" else 1)
         md = IndexMetadata(
-            D=dataset.dim, n=base.codes.n, m=len(base.codebooks), m_prime=0,
-            k_star=base.codebooks[0].k_star, seed=params.seed, params=params,
+            D=dataset.dim, n=dataset.n, m=m, m_prime=0,
+            k_star=k_star, seed=params.seed, params=params,
         )
-        return IndexArtifact(
+        index = IndexArtifact(
             mode=mode,
             layout=layout,
             norm_codebooks=(),
@@ -176,6 +180,8 @@ def train_index(
             codes=base.codes,
             metadata=md,
         )
+        codes = encode_batch(dataset.items, index.dir_codebooks, layout)
+        return replace(index, codes=CodeMatrix(codes, k_stars=base.codes.k_stars))
     if mode in ("neq_kmeans", "fuzzy2_neq"):
         return train_neq(dataset, m, m_prime, k_star, mode, params, measure=measure)
     raise InvalidInputError(f"unknown mode {mode!r}")
@@ -295,14 +301,7 @@ def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
         raise InvalidInputError(
             f"dataset has D={dataset.dim} but the index expects D={md.D}"
         )
-    if index.mode == "rq":
-        residual = dataset.items.copy()
-        codes = np.empty((dataset.n, md.m), dtype=np.int64)
-        for s, cb in enumerate(index.dir_codebooks):
-            idx = nearest_codes(residual, cb)
-            residual -= cb.codewords[idx]
-            codes[:, s] = idx
-    elif index.mode == "pq":
+    if index.mode in ("pq", "rq"):
         codes = encode_batch(dataset.items, index.dir_codebooks, index.layout)
     else:
         dir_codes, relative = _encode_directions(
@@ -342,18 +341,12 @@ def norm_factor(codes: np.ndarray, index: IndexArtifact) -> float:
 def reconstruct(codes: np.ndarray, index: IndexArtifact) -> np.ndarray:
     """Rebuild one item: summed norm codewords times the direction part."""
     codes = _check_codes_row(codes, index)
-    dir_part = codes[index.m_prime :]
-    if index.mode == "rq":
-        vec = rq_decode(dir_part, index.dir_codebooks)
-    else:
-        vec = decode(dir_part, index.dir_codebooks, index.layout)
+    vec = decode(codes[index.m_prime :], index.dir_codebooks, index.layout)
     return norm_factor(codes, index) * vec
 
 
 def query_tables(q: np.ndarray, index: IndexArtifact) -> ADCTable:
     """Per-query inner-product tables against the direction codebooks."""
-    if index.mode == "rq":
-        return build_stage_table(q, index.dir_codebooks)
     return build_adc_table(q, index.dir_codebooks, index.layout)
 
 
@@ -417,11 +410,12 @@ def scan_scores(
     return l_total * r_total
 
 
-def item_sq_norms(index: IndexArtifact, limit: int | None = None) -> np.ndarray:
+def item_sq_norms(index: IndexArtifact) -> np.ndarray:
     """Squared norms of the reconstructions (used by distance ranking)."""
-    codes = index.codes.codes[: index.n if limit is None else limit]
+    codes = index.codes.codes
     if index.mode == "rq":
-        recon = rq_decode(codes[:, index.m_prime :], index.dir_codebooks)
+        # Stages overlap, so their cross terms do not vanish.
+        recon = decode(codes, index.dir_codebooks, index.layout)
         return np.einsum("ij,ij->i", recon, recon)
     dir_sq = np.zeros(codes.shape[0])
     for j, cb in enumerate(index.dir_codebooks):

@@ -41,6 +41,8 @@ def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
     """Write the index with the documented byte-exact layout, through a
     temporary file beside ``path`` so a failed write leaves it untouched."""
     md = index.metadata
+    if any(cb.k_star != md.k_star for cb in (*index.norm_codebooks, *index.dir_codebooks)):
+        raise InvalidInputError(f"every codebook must hold k_star={md.k_star} codewords")
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -102,17 +104,11 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
     n_dir = m - m_prime
     if n_dir < 1 or (mode in ("pq", "rq") and m_prime != 0):
         raise CorruptionError("header codebook split is inconsistent with the mode")
-    if mode == "rq":
-        d_star = D
-        layout = SubVectorLayout(D=D, m_dir=1)
-    else:
-        if D % n_dir != 0:
-            raise CorruptionError(f"{n_dir} vector codebooks do not divide D={D}")
-        d_star = D // n_dir
-        layout = SubVectorLayout(D=D, m_dir=n_dir)
 
     offset = _HEADER.size
     try:
+        layout = SubVectorLayout(D=D, m_dir=1 if mode == "rq" else n_dir)
+        d_star = layout.D_star
         norm_codebooks = []
         for s in range(m_prime):
             chunk, offset = _take(raw, offset, 4 * k_star, f"norm codebook {s}")

@@ -1,6 +1,6 @@
 """Baseline vector quantizers: product quantization and residual
-quantization, plus the per-query inner-product lookup table both share
-with the norm-explicit index."""
+quantization, plus the encoder, decoder and per-query inner-product
+lookup table that both share with the norm-explicit index."""
 
 from __future__ import annotations
 
@@ -78,6 +78,14 @@ def _map_subspaces(fit, layout: SubVectorLayout, seed: int) -> list:
         return list(ex.map(fit, _subseeds(seed, layout.m_dir), layout.slices()))
 
 
+def _codebook_slices(codebooks: tuple[Codebook, ...], layout: SubVectorLayout) -> list[slice]:
+    """Each codebook's sub-space, by the rule of ``SubVectorLayout``."""
+    if len(codebooks) < layout.m_dir:
+        raise InvalidInputError(f"expected at least {layout.m_dir} codebooks")
+    slices = layout.slices()
+    return [slices[j % layout.m_dir] for j in range(len(codebooks))]
+
+
 def nearest_codes(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Index of the nearest codeword per row; ties pick the lowest index."""
     return squared_distances(vectors, codebook.codewords).argmin(axis=1)
@@ -86,7 +94,7 @@ def nearest_codes(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
 def encode(
     x: np.ndarray, codebooks: tuple[Codebook, ...], layout: SubVectorLayout
 ) -> np.ndarray:
-    """Nearest-codeword code per sub-space for one vector."""
+    """Nearest-codeword code per codebook for one vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (layout.D,):
         raise InvalidInputError(f"expected a vector of length {layout.D}")
@@ -96,31 +104,38 @@ def encode(
 def encode_batch(
     items: np.ndarray, codebooks: tuple[Codebook, ...], layout: SubVectorLayout
 ) -> np.ndarray:
+    """Nearest-codeword codes, one column per codebook, by the sub-space
+    rule of ``SubVectorLayout`` (residual stages where codebooks repeat)."""
     items = np.asarray(items, dtype=np.float64)
     if items.ndim != 2 or items.shape[1] != layout.D:
         raise InvalidInputError(f"expected rows of length {layout.D}")
-    codes = np.empty((items.shape[0], layout.m_dir), dtype=np.int64)
-    for j, sl in enumerate(layout.slices()):
-        codes[:, j] = nearest_codes(items[:, sl], codebooks[j])
+    slices = _codebook_slices(codebooks, layout)
+    residual = items.copy() if len(codebooks) > layout.m_dir else items
+    codes = np.empty((items.shape[0], len(codebooks)), dtype=np.int64)
+    for j, (cb, sl) in enumerate(zip(codebooks, slices)):
+        codes[:, j] = nearest_codes(residual[:, sl], cb)
+        if j + layout.m_dir < len(codebooks):
+            residual[:, sl] -= cb.codewords[codes[:, j]]
     return codes
 
 
 def decode(
     codes: np.ndarray, codebooks: tuple[Codebook, ...], layout: SubVectorLayout
 ) -> np.ndarray:
-    """Concatenate the selected codewords back into a full vector."""
+    """Sum the selected codewords into their sub-spaces: concatenation
+    for one codebook per sub-space, a stage sum for residual stages."""
     codes = np.asarray(codes)
     single = codes.ndim == 1
     if single:
         codes = codes[None, :]
-    if codes.shape[1] != layout.m_dir:
-        raise InvalidInputError(f"expected {layout.m_dir} codes per item")
-    out = np.empty((codes.shape[0], layout.D))
-    for j, sl in enumerate(layout.slices()):
+    if codes.shape[1] != len(codebooks):
+        raise InvalidInputError(f"expected {len(codebooks)} codes per item")
+    out = np.zeros((codes.shape[0], layout.D))
+    for j, (cb, sl) in enumerate(zip(codebooks, _codebook_slices(codebooks, layout))):
         col = codes[:, j]
-        if col.size and (col.min() < 0 or col.max() >= codebooks[j].k_star):
+        if col.size and (col.min() < 0 or col.max() >= cb.k_star):
             raise CorruptionError(f"code out of range for codebook {j}")
-        out[:, sl] = codebooks[j].codewords[col]
+        out[:, sl] += cb.codewords[col]
     return out[0] if single else out
 
 
@@ -157,7 +172,7 @@ def train_rq(
     if k_star > dataset.n:
         raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
     seeds = _subseeds(params.seed, stages)
-    residual = dataset.items.copy()
+    residual = dataset.items
     codebooks = []
     codes = np.empty((dataset.n, stages), dtype=np.int64)
     for s in range(stages):
@@ -171,48 +186,19 @@ def train_rq(
     )
 
 
-def rq_decode(codes: np.ndarray, codebooks: tuple[Codebook, ...]) -> np.ndarray:
-    """Sum the selected codeword of every stage."""
-    codes = np.asarray(codes)
-    single = codes.ndim == 1
-    if single:
-        codes = codes[None, :]
-    out = np.zeros((codes.shape[0], codebooks[0].dim))
-    for s, cb in enumerate(codebooks):
-        col = codes[:, s]
-        if col.size and (col.min() < 0 or col.max() >= cb.k_star):
-            raise CorruptionError(f"code out of range for stage {s}")
-        out += cb.codewords[col]
-    return out[0] if single else out
-
-
 def build_adc_table(
     q: np.ndarray, codebooks: tuple[Codebook, ...], layout: SubVectorLayout
 ) -> ADCTable:
-    """Precompute ``<q_j, codeword>`` for every sub-space and codeword.
+    """Precompute ``<q_j, codeword>`` for every codebook and codeword.
 
-    One table costs ``O(k_star * D)``; scanning an item afterwards is one
-    lookup per sub-space.
+    One table costs ``O(k_star * D_star)`` per codebook; scanning an item
+    afterwards is one lookup per codebook.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (layout.D,):
         raise InvalidInputError(f"expected a query of length {layout.D}")
     k_star = max(cb.k_star for cb in codebooks)
-    tables = np.zeros((layout.m_dir, k_star))
-    for j, sl in enumerate(layout.slices()):
-        cb = codebooks[j]
-        tables[j, : cb.k_star] = cb.codewords @ q[sl]
-    return ADCTable(tables)
-
-
-def build_stage_table(q: np.ndarray, codebooks: tuple[Codebook, ...]) -> ADCTable:
-    """Residual-quantizer variant: ``tables[s][i] = <q, c_{s,i}>`` with the
-    full-dimension query."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (codebooks[0].dim,):
-        raise InvalidInputError(f"expected a query of length {codebooks[0].dim}")
-    k_star = max(cb.k_star for cb in codebooks)
     tables = np.zeros((len(codebooks), k_star))
-    for s, cb in enumerate(codebooks):
-        tables[s, : cb.k_star] = cb.codewords @ q
+    for j, (cb, sl) in enumerate(zip(codebooks, _codebook_slices(codebooks, layout))):
+        tables[j, : cb.k_star] = cb.codewords @ q[sl]
     return ADCTable(tables)

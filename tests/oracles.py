@@ -20,8 +20,10 @@ from fneq.clustering import (
     squared_distances,
 )
 from fneq.core import Codebook
+from fneq.errors import CorruptionError, InvalidInputError
 from fneq.evaluate import recall
 from fneq.neq import scan_scores, select_top_k
+from fneq.quantizers import ADCTable, nearest_codes
 
 
 def brute_force_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -268,3 +270,42 @@ def recall_cost_reference(index, truth_ids: np.ndarray, queries, k: int) -> floa
         for i in range(queries.count)
     ]
     return -float(np.mean(values))
+
+
+def rq_encode(items: np.ndarray, codebooks: tuple[Codebook, ...]) -> np.ndarray:
+    """Residual stages one after another on the full-dimension items."""
+    residual = items.copy()
+    codes = np.empty((items.shape[0], len(codebooks)), dtype=np.int64)
+    for s, cb in enumerate(codebooks):
+        idx = nearest_codes(residual, cb)
+        residual -= cb.codewords[idx]
+        codes[:, s] = idx
+    return codes
+
+
+def rq_decode(codes: np.ndarray, codebooks: tuple[Codebook, ...]) -> np.ndarray:
+    """Sum the selected codeword of every stage."""
+    codes = np.asarray(codes)
+    single = codes.ndim == 1
+    if single:
+        codes = codes[None, :]
+    out = np.zeros((codes.shape[0], codebooks[0].dim))
+    for s, cb in enumerate(codebooks):
+        col = codes[:, s]
+        if col.size and (col.min() < 0 or col.max() >= cb.k_star):
+            raise CorruptionError(f"code out of range for stage {s}")
+        out += cb.codewords[col]
+    return out[0] if single else out
+
+
+def build_stage_table(q: np.ndarray, codebooks: tuple[Codebook, ...]) -> ADCTable:
+    """Residual-quantizer variant: ``tables[s][i] = <q, c_{s,i}>`` with the
+    full-dimension query."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (codebooks[0].dim,):
+        raise InvalidInputError(f"expected a query of length {codebooks[0].dim}")
+    k_star = max(cb.k_star for cb in codebooks)
+    tables = np.zeros((len(codebooks), k_star))
+    for s, cb in enumerate(codebooks):
+        tables[s, : cb.k_star] = cb.codewords @ q
+    return ADCTable(tables)

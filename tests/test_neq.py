@@ -202,7 +202,50 @@ class TestEstimateInnerProduct:
         np.testing.assert_allclose(scanned, expected, rtol=1e-12)
 
 
+def layout_artifact(mode, D, m_dir, widths, m_prime=0, k=2, n=3):
+    """Hand-built artifact with direction codebooks of the given widths
+    on ``SubVectorLayout(D, m_dir)`` and all-zero codes."""
+    rng = np.random.default_rng(0)
+    m = m_prime + len(widths)
+    return IndexArtifact(
+        mode=mode,
+        layout=SubVectorLayout(D=D, m_dir=m_dir),
+        norm_codebooks=tuple(
+            NormCodebook(np.linspace(0.5, 1.0, k), signed=s > 0) for s in range(m_prime)
+        ),
+        dir_codebooks=tuple(Codebook(rng.normal(size=(k, w))) for w in widths),
+        codes=CodeMatrix(np.zeros((n, m), dtype=np.int64), k_stars=(k,) * m),
+        metadata=IndexMetadata(D=D, n=n, m=m, m_prime=m_prime, k_star=k, seed=0),
+    )
+
+
 class TestIndexArtifact:
+    @pytest.mark.parametrize(
+        "mode,D,m_dir,widths,m_prime",
+        [
+            ("pq", 4, 2, (2, 2, 2), 0),  # would otherwise read as a residual stage
+            ("pq", 4, 2, (2,), 0),
+            ("pq", 4, 2, (4, 4), 0),
+            ("neq_kmeans", 4, 1, (4, 4), 1),
+            ("fuzzy2_neq", 4, 2, (2, 4), 1),
+            ("rq", 4, 2, (2, 2), 0),
+            ("rq", 4, 1, (4, 2), 0),
+        ],
+    )
+    def test_direction_codebooks_must_follow_the_layout(self, mode, D, m_dir, widths, m_prime):
+        with pytest.raises(InvalidInputError):
+            layout_artifact(mode, D, m_dir, widths, m_prime)
+
+    def test_layout_must_span_metadata_D(self):
+        index = layout_artifact("pq", 4, 2, (2, 2))
+        with pytest.raises(InvalidInputError, match="metadata D=6"):
+            replace(index, metadata=replace(index.metadata, D=6))
+
+    def test_rq_stages_share_one_full_width_sub_space(self):
+        index = layout_artifact("rq", 4, 1, (4, 4, 4))
+        assert index.n_parts == 3
+        assert query_tables(np.ones(4), index).tables.shape == (3, 2)
+
     def test_metadata_n_must_match_code_rows(self):
         index = tiny_artifact([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [[0, 1], [1, 0], [1, 1]])
         assert index.n == index.metadata.n == 3

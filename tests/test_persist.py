@@ -3,9 +3,11 @@ import pytest
 
 import fneq.persist
 
+from dataclasses import replace
+
 from fneq.clustering import ClusteringParams
-from fneq.core import Dataset
-from fneq.errors import CorruptionError
+from fneq.core import Codebook, Dataset, NormCodebook
+from fneq.errors import CorruptionError, InvalidInputError
 from fneq.neq import scan_scores, select_top_k, train_index
 from fneq.persist import MAGIC, load_index, save_index
 
@@ -102,6 +104,19 @@ class TestAtomicSave:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.fneq"]
 
+    @pytest.mark.parametrize("part", ["norm", "dir"])
+    def test_codebook_off_k_star_is_rejected_before_writing(self, tmp_path, part):
+        index = trained("neq_kmeans", 3, 1, seed=14)
+        if part == "norm":
+            short = NormCodebook(index.norm_codebooks[0].values[:-1])
+            index = replace(index, norm_codebooks=(short,))
+        else:
+            short = Codebook(index.dir_codebooks[1].codewords[:-1])
+            index = replace(index, dir_codebooks=(index.dir_codebooks[0], short))
+        with pytest.raises(InvalidInputError, match="k_star=8"):
+            save_index(tmp_path / "index.fneq", index)
+        assert list(tmp_path.iterdir()) == []
+
     def test_overwrite_replaces_whole_file(self, tmp_path):
         path = tmp_path / "index.fneq"
         save_index(path, trained("pq", 3, 0, seed=11, n=300))
@@ -167,6 +182,15 @@ class TestCorruption:
         raw[-1] = 255  # codes are the final section; k_star is 8
         path.write_bytes(raw)
         with pytest.raises(CorruptionError, match="validation"):
+            load_index(path)
+
+    @pytest.mark.parametrize("D", [0, 7])
+    def test_header_dimension_without_layout(self, tmp_path, D):
+        path = self.make_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[7:11] = D.to_bytes(4, "little")  # two direction codebooks
+        path.write_bytes(raw)
+        with pytest.raises(CorruptionError):
             load_index(path)
 
     def test_header_only_file(self, tmp_path):

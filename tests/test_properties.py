@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fneq.aggregation import FuzzyMeasure, fuse_codebooks
@@ -17,6 +17,7 @@ from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, QuerySet, Sub
 from fneq.errors import InvalidInputError
 from fneq.evaluate import recall_item_curve
 from fneq.neq import (
+    MODES,
     IndexArtifact,
     IndexMetadata,
     estimate_inner_product,
@@ -27,13 +28,17 @@ from fneq.neq import (
     train_index,
 )
 from fneq.persist import load_index, save_index
+from fneq.quantizers import build_adc_table, decode, encode_batch
 
 from oracles import (
+    build_stage_table,
     curve_reference,
     full_sort_topk,
     fuse_reference,
     it2fpcm_reference,
     lloyd_reference,
+    rq_decode,
+    rq_encode,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -228,25 +233,71 @@ def test_it2fpcm_equals_reference_bit_for_bit(
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    mode=st.sampled_from(["neq_kmeans", "fuzzy2_neq"]),
+    mode=st.sampled_from(MODES),
     m_prime=st.sampled_from([1, 2]),
+    parts=st.sampled_from([1, 2, 3, 6]),
     k_star=st.integers(2, 8),
     zero_share=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    values=st.sampled_from(["normal", "integers", "thirds"]),
 )
-def test_training_codes_equal_reencoded_codes(seed, mode, m_prime, k_star, zero_share):
+@example(seed=1, mode="pq", m_prime=1, parts=6, k_star=8, zero_share=0.0, values="thirds")
+@example(seed=19, mode="rq", m_prime=1, parts=2, k_star=3, zero_share=0.0, values="integers")
+def test_training_codes_equal_reencoded_codes(
+    seed, mode, m_prime, parts, k_star, zero_share, values
+):
+    """``parts`` direction codebooks (rq: stages; pq and rq ignore
+    ``m_prime``). Integer and thirds data put float64 codewords on exact
+    ties that the stored float32 codebooks break one way or the other."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3 * k_star, 90))
-    items = rng.normal(size=(n, 6)) * rng.lognormal(0.0, 0.8, size=(n, 1))
+    if values == "normal":
+        items = rng.normal(size=(n, 6)) * rng.lognormal(0.0, 0.8, size=(n, 1))
+    else:
+        items = rng.integers(-3, 4, size=(n, 6)) / (3.0 if values == "thirds" else 1.0)
     items[rng.permutation(n)[: int(zero_share * (n - k_star))]] = 0.0
     dataset = Dataset(items)
     params = ClusteringParams(seed=seed, max_iters=15)
-    index = train_index(dataset, mode, m_prime + 2, m_prime, k_star, params)
+    m = parts if mode in ("pq", "rq") else m_prime + parts
+    index = train_index(dataset, mode, m, m_prime, k_star, params)
     again = reencode(index, dataset).codes.codes
     assert again.dtype == index.codes.codes.dtype
     np.testing.assert_array_equal(again, index.codes.codes)
+
+
+#: Values that make codewords coincide, distances tie and zeros carry a sign.
+TIE_VALUES = np.array([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stages=st.integers(1, 4),
+    D=st.integers(1, 5),
+    k_stars=st.lists(st.integers(1, 6), min_size=4, max_size=4),
+    n=st.integers(0, 30),
+    continuous=st.booleans(),
+)
+def test_stage_kernels_equal_references_bit_for_bit(seed, stages, D, k_stars, n, continuous):
+    """Residual stages on ``SubVectorLayout(D, 1)`` through the shared
+    kernels give the bytes of the stage encoder, decoder and table."""
+    rng = np.random.default_rng(seed)
+    layout = SubVectorLayout(D=D, m_dir=1)
+    codebooks = tuple(Codebook(rng.choice(TIE_VALUES, size=(k, D))) for k in k_stars[:stages])
+    items = rng.choice(TIE_VALUES, size=(n, D))
+    q = rng.choice(TIE_VALUES, size=D)
+    if continuous:
+        items = items + rng.normal(size=(n, D))
+        q = q + rng.normal(size=D)
+    codes = encode_batch(items, codebooks, layout)
+    np.testing.assert_array_equal(codes, rq_encode(items, codebooks))
+    drawn = np.column_stack([rng.integers(0, cb.k_star, n) for cb in codebooks])
+    for c in (codes, drawn, *drawn[:1]):
+        assert decode(c, codebooks, layout).tobytes() == rq_decode(c, codebooks).tobytes()
+    table = build_adc_table(q, codebooks, layout).tables
+    assert table.tobytes() == build_stage_table(q, codebooks).tables.tobytes()
 
 
 @SETTINGS

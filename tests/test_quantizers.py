@@ -7,11 +7,9 @@ from fneq.errors import CorruptionError, InvalidInputError
 from fneq.quantizers import (
     _subseeds,
     build_adc_table,
-    build_stage_table,
     decode,
     encode,
     encode_batch,
-    rq_decode,
     train_pq,
     train_rq,
 )
@@ -117,6 +115,15 @@ class TestEncodeDecode:
         with pytest.raises(InvalidInputError):
             encode(np.zeros(6), self.codebooks, self.layout)
 
+    def test_fewer_codebooks_than_sub_spaces_rejected(self):
+        one = self.codebooks[:1]
+        with pytest.raises(InvalidInputError, match="at least 2 codebooks"):
+            encode_batch(np.zeros((3, 4)), one, self.layout)
+        with pytest.raises(InvalidInputError, match="at least 2 codebooks"):
+            decode(np.array([0]), one, self.layout)
+        with pytest.raises(InvalidInputError, match="at least 2 codebooks"):
+            build_adc_table(np.zeros(4), one, self.layout)
+
 
 class TestTrainRq:
     def test_single_stage_is_plain_kmeans(self):
@@ -138,7 +145,7 @@ class TestTrainRq:
         )
         data = Dataset(rng.permutation(rows))
         index = train_rq(data, stages=2, k_star=4, params=ClusteringParams(seed=4))
-        recon = rq_decode(index.codes.codes, index.codebooks)
+        recon = decode(index.codes.codes, index.codebooks, SubVectorLayout(D=6, m_dir=1))
         residual = np.linalg.norm(data.items - recon, axis=1)
         assert residual.max() < 1e-9 * 100.0
 
@@ -149,7 +156,7 @@ class TestTrainRq:
         energies = []
         for stages in (1, 2, 3):
             index = train_rq(data, stages=stages, k_star=16, params=params)
-            recon = rq_decode(index.codes.codes, index.codebooks)
+            recon = decode(index.codes.codes, index.codebooks, SubVectorLayout(D=8, m_dir=1))
             energies.append(float(np.mean(np.linalg.norm(data.items - recon, axis=1))))
         assert energies[2] <= energies[1] <= energies[0]
 
@@ -192,7 +199,7 @@ class TestAdcTable:
         rng = np.random.default_rng(12)
         codebooks = (Codebook(rng.normal(size=(4, 6))), Codebook(rng.normal(size=(4, 6))))
         q = rng.normal(size=6)
-        table = build_stage_table(q, codebooks)
+        table = build_adc_table(q, codebooks, SubVectorLayout(D=6, m_dir=1))
         np.testing.assert_allclose(table.tables[0], codebooks[0].codewords @ q)
         np.testing.assert_allclose(table.tables[1], codebooks[1].codewords @ q)
 
