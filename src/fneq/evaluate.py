@@ -119,10 +119,19 @@ def recall_item_curve(
     slice of a wider product can round differently.
     """
     counts = _checked_counts(item_counts, t, min(dataset.n, index.n))
+    return _curve(index, queries, counts, _prefix_truths(dataset, queries, counts, t), t)
+
+
+def _prefix_truths(dataset: Dataset, queries: QuerySet, counts: list[int], t: int) -> list:
+    """Per count, each query's exact top-t of that item prefix."""
     qs = queries.queries
-    truths = [[select_top_k(s, t) for s in qs @ dataset.items[:count].T] for count in counts]
+    return [[select_top_k(s, t) for s in qs @ dataset.items[:count].T] for count in counts]
+
+
+def _curve(index, queries: QuerySet, counts: list[int], truths: list, t: int) -> list:
+    """``recall_item_curve`` against precomputed ``_prefix_truths``."""
     values = [[] for _ in counts]
-    for i, q in enumerate(qs):
+    for i, q in enumerate(queries.queries):
         scores = scan_scores(q, index, limit=counts[-1])
         for truth, count, vals in zip(truths, counts, values):
             vals.append(recall(select_top_k(scores[:count], t), truth[i]))
@@ -216,6 +225,7 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
         counts = _checked_counts(counts, t, dataset.n)
 
     truth = exact_topk(dataset, queries, t)
+    truths = _prefix_truths(dataset, queries, counts, t)
     rng = np.random.default_rng(seed)
     recalls, precisions, f1s, times = [], [], [], []
     curves = []
@@ -242,7 +252,7 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
         precisions.append(p)
         f1s.append(f)
         if counts:
-            curves.append(recall_item_curve(index, dataset, queries, counts, t))
+            curves.append(_curve(index, queries, counts, truths, t))
 
     curve = tuple(
         (counts[i], float(np.mean([c[i][1] for c in curves])))

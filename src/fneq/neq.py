@@ -26,9 +26,10 @@ All-zero items have no direction: they are excluded from direction
 training, carry relative norm 0 and code 0 everywhere, and reconstruct
 to (near) zero once the norm codebook learns a zero codeword.
 
-The plain ``pq`` and ``rq`` baselines run through the same artifact and
-scan with zero norm codebooks (norm factor fixed at 1); ``rq`` stacks its
-stages on one full-width sub-space, where the shared kernels sum them.
+The plain ``pq`` and ``rq`` baselines run through the same artifact,
+trainer and scan with zero norm codebooks (norm factor fixed at 1), and
+fit and encode the raw items; ``rq`` stacks its stages on one full-width
+sub-space, where the shared kernels sum them.
 """
 
 from __future__ import annotations
@@ -47,15 +48,7 @@ from .clustering import (
 )
 from .core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms
 from .errors import CorruptionError, InvalidInputError
-from .quantizers import (
-    ADCTable,
-    _map_subspaces,
-    build_adc_table,
-    decode,
-    encode_batch,
-    train_pq,
-    train_rq,
-)
+from .quantizers import ADCTable, _fit_codebooks, build_adc_table, decode, encode_batch
 
 MODES = ("pq", "rq", "neq_kmeans", "fuzzy2_neq")
 
@@ -150,6 +143,12 @@ def _f32_exact(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
+def _mode_layout(mode: str, D: int, n_dir: int) -> SubVectorLayout:
+    """``rq`` stacks its stages on ``m_dir = 1``; every other mode has one
+    direction codebook per sub-space."""
+    return SubVectorLayout(D=D, m_dir=1 if mode == "rq" else n_dir)
+
+
 def train_index(
     dataset: Dataset,
     mode: str,
@@ -162,29 +161,61 @@ def train_index(
     """Train any supported index type behind one entry point.
 
     For ``pq`` and ``rq`` the ``m`` codebooks are all vector codebooks
-    (``m_prime`` is ignored); ``rq`` reads ``m`` as the stage count. Their
-    codes come from the stored (float32) codebooks, as ``reencode`` gives.
+    (``m_prime`` is ignored); ``rq`` reads ``m`` as the stage count. Every
+    mode fits its direction codebooks by the sub-space rule, rounds them
+    to float32 and codes the training items with the encoder of
+    ``reencode``.
     """
+    if mode not in MODES:
+        raise InvalidInputError(f"unknown mode {mode!r}")
     if mode in ("pq", "rq"):
-        base = (train_pq if mode == "pq" else train_rq)(dataset, m, k_star, params)
-        layout = SubVectorLayout(D=dataset.dim, m_dir=m if mode == "pq" else 1)
-        md = IndexMetadata(
-            D=dataset.dim, n=dataset.n, m=m, m_prime=0,
-            k_star=k_star, seed=params.seed, params=params,
-        )
-        index = IndexArtifact(
-            mode=mode,
-            layout=layout,
-            norm_codebooks=(),
-            dir_codebooks=base.codebooks,
-            codes=base.codes,
-            metadata=md,
-        )
-        codes = encode_batch(dataset.items, index.dir_codebooks, layout)
-        return replace(index, codes=CodeMatrix(codes, k_stars=base.codes.k_stars))
-    if mode in ("neq_kmeans", "fuzzy2_neq"):
-        return train_neq(dataset, m, m_prime, k_star, mode, params, measure=measure)
-    raise InvalidInputError(f"unknown mode {mode!r}")
+        m_prime = 0
+    elif m_prime < 1:
+        raise InvalidInputError("m_prime must be at least 1")
+    elif k_star < 2:
+        raise InvalidInputError("k_star must be at least 2")
+    if m_prime >= m:
+        raise InvalidInputError(f"m={m} must exceed m_prime={m_prime}")
+    layout = _mode_layout(mode, dataset.dim, m - m_prime)
+    if m_prime:
+        norms, nonzero, points = _unit_directions(dataset.items)
+    else:
+        points = dataset.items
+
+    def fit(sub_points: np.ndarray, seed: int) -> Codebook:
+        if mode == "fuzzy2_neq":
+            return fuse_codebooks(it2fpcm(sub_points, replace(params, seed=seed, c=k_star)), measure)
+        return kmeans(sub_points, k_star, replace(params, seed=seed)).centroids
+
+    fitted = _fit_codebooks(points, m - m_prime, layout, fit, params.seed)
+    dir_codebooks = tuple(Codebook(_f32_exact(cb.codewords)) for cb in fitted)
+
+    def fit_stage(s: int, residual: np.ndarray) -> NormCodebook:
+        if s == 0 and not nonzero.all():
+            # Zero-norm items must reconstruct to the zero vector, so the
+            # zero point-mass gets its own exact codeword.
+            tail = kmeans_scalar(residual[nonzero], k_star - 1).values
+            values = np.sort(np.concatenate([[0.0], tail]))
+        elif s == 0:
+            values = kmeans_scalar(residual, k_star).values
+        else:
+            values = kmeans_scalar(residual, k_star, signed=True).values
+        return NormCodebook(_f32_exact(values), signed=s > 0)
+
+    norm_codebooks, codes = _encode(dataset.items, layout, dir_codebooks, m_prime, fit_stage)
+    md = IndexMetadata(
+        D=dataset.dim, n=dataset.n, m=m, m_prime=m_prime,
+        k_star=k_star, seed=params.seed, params=params,
+    )
+    return IndexArtifact(
+        mode=mode,
+        layout=layout,
+        norm_codebooks=norm_codebooks,
+        dir_codebooks=dir_codebooks,
+        codes=CodeMatrix(codes, k_stars=(k_star,) * m),
+        metadata=md,
+        measure=measure,
+    )
 
 
 def train_neq(
@@ -199,59 +230,7 @@ def train_neq(
     """Train a norm-explicit index (k-means or fuzzy direction codebooks)."""
     if mode not in ("neq_kmeans", "fuzzy2_neq"):
         raise InvalidInputError(f"train_neq does not handle mode {mode!r}")
-    if m_prime < 1:
-        raise InvalidInputError("m_prime must be at least 1")
-    if m_prime >= m:
-        raise InvalidInputError("m_prime must be smaller than m")
-    if k_star < 2:
-        raise InvalidInputError("k_star must be at least 2")
-    m_dir = m - m_prime
-    layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
-
-    norms, nonzero, directions = _unit_directions(dataset.items)
-    if directions.shape[0] < k_star:
-        raise InvalidInputError(
-            f"k_star={k_star} exceeds the {directions.shape[0]} items with a direction"
-        )
-
-    def fit_direction(seed: int, sl: slice) -> Codebook:
-        sub = directions[:, sl]
-        sub_params = replace(params, seed=seed, c=k_star)
-        if mode == "neq_kmeans":
-            cb = kmeans(sub, k_star, sub_params).centroids
-        else:
-            cb = fuse_codebooks(it2fpcm(sub, sub_params), measure)
-        return Codebook(_f32_exact(cb.codewords))
-
-    dir_codebooks = tuple(_map_subspaces(fit_direction, layout, params.seed))
-    dir_codes, relative = _encode_directions(norms, nonzero, directions, dir_codebooks, layout)
-
-    def fit_stage(s: int, residual: np.ndarray) -> NormCodebook:
-        if s == 0 and not nonzero.all():
-            # Zero-norm items must reconstruct to the zero vector, so the
-            # zero point-mass gets its own exact codeword.
-            tail = kmeans_scalar(residual[nonzero], k_star - 1).values
-            values = np.sort(np.concatenate([[0.0], tail]))
-        elif s == 0:
-            values = kmeans_scalar(residual, k_star).values
-        else:
-            values = kmeans_scalar(residual, k_star, signed=True).values
-        return NormCodebook(_f32_exact(values), signed=s > 0)
-
-    norm_codebooks, norm_codes = _encode_norms(relative, m_prime, fit_stage)
-    md = IndexMetadata(
-        D=dataset.dim, n=dataset.n, m=m, m_prime=m_prime,
-        k_star=k_star, seed=params.seed, params=params,
-    )
-    return IndexArtifact(
-        mode=mode,
-        layout=layout,
-        norm_codebooks=norm_codebooks,
-        dir_codebooks=dir_codebooks,
-        codes=CodeMatrix(np.hstack([norm_codes, dir_codes]), k_stars=(k_star,) * m),
-        metadata=md,
-        measure=measure,
-    )
+    return train_index(dataset, mode, m, m_prime, k_star, params, measure=measure)
 
 
 def _unit_directions(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,31 +240,28 @@ def _unit_directions(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return norms, nonzero, items[nonzero] / norms[nonzero, None]
 
 
-def _encode_directions(norms, nonzero, directions, dir_codebooks, layout):
-    """Direction codes and relative norms ``||x|| / ||x_bar||``; all-zero
-    rows get code 0 everywhere and relative norm 0."""
-    dir_codes = np.zeros((norms.shape[0], layout.m_dir), dtype=np.int64)
-    relative = np.zeros(norms.shape[0])
-    dir_codes[nonzero] = encode_batch(directions, dir_codebooks, layout)
-    recon = decode(dir_codes[nonzero], dir_codebooks, layout)
-    relative[nonzero] = norms[nonzero] / np.maximum(row_norms(recon), _MIN_RECON_NORM)
-    return dir_codes, relative
-
-
-def _encode_norms(relative, m_prime, stage_codebook):
-    """Norm codebooks and codes of ``relative``, stage by stage on the
-    residual. ``stage_codebook(s, residual)`` gives stage ``s``'s
-    codebook: training fits it there, re-encoding looks it up."""
-    codebooks = []
-    codes = np.zeros((relative.shape[0], m_prime), dtype=np.int64)
-    residual = relative
+def _encode(items, layout, dir_codebooks, m_prime, stage_codebook):
+    """Norm codebooks and codes of ``items``: ``encode_batch`` without
+    norm codebooks. Otherwise the unit directions are coded, and the
+    relative norms ``||x|| / ||x_bar||`` are coded stage by stage on the
+    residual; ``stage_codebook(s, residual)`` gives stage ``s``'s codebook
+    (training fits it there, re-encoding looks it up). All-zero rows get
+    code 0 everywhere and relative norm 0."""
+    if m_prime == 0:
+        return (), encode_batch(items, dir_codebooks, layout)
+    norms, nonzero, directions = _unit_directions(items)
+    codes = np.zeros((items.shape[0], m_prime + len(dir_codebooks)), dtype=np.int64)
+    codes[nonzero, m_prime:] = encode_batch(directions, dir_codebooks, layout)
+    recon = decode(codes[nonzero, m_prime:], dir_codebooks, layout)
+    residual = np.zeros(items.shape[0])
+    residual[nonzero] = norms[nonzero] / np.maximum(row_norms(recon), _MIN_RECON_NORM)
+    norm_codebooks = []
     for s in range(m_prime):
         cb = stage_codebook(s, residual)
-        idx = encode_scalar(residual, cb)
-        residual = residual - cb.values[idx]
-        codebooks.append(cb)
-        codes[:, s] = idx
-    return tuple(codebooks), codes
+        codes[:, s] = encode_scalar(residual, cb)
+        residual = residual - cb.values[codes[:, s]]
+        norm_codebooks.append(cb)
+    return tuple(norm_codebooks), codes
 
 
 def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
@@ -293,24 +269,17 @@ def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
     codebooks, keeping the codebooks fixed.
 
     This is how a codebook fitted on a training sample indexes the full
-    corpus: direction codes by nearest codeword, relative norms against
-    the fixed direction codebooks, norm codes stage by stage.
+    corpus, through the encoder that coded the training items.
     """
     md = index.metadata
     if dataset.dim != md.D:
         raise InvalidInputError(
             f"dataset has D={dataset.dim} but the index expects D={md.D}"
         )
-    if index.mode in ("pq", "rq"):
-        codes = encode_batch(dataset.items, index.dir_codebooks, index.layout)
-    else:
-        dir_codes, relative = _encode_directions(
-            *_unit_directions(dataset.items), index.dir_codebooks, index.layout
-        )
-        _, norm_codes = _encode_norms(
-            relative, md.m_prime, lambda s, residual: index.norm_codebooks[s]
-        )
-        codes = np.hstack([norm_codes, dir_codes])
+    _, codes = _encode(
+        dataset.items, index.layout, index.dir_codebooks, md.m_prime,
+        lambda s, residual: index.norm_codebooks[s],
+    )
     return replace(
         index,
         codes=CodeMatrix(codes, k_stars=index.codes.k_stars),
@@ -404,10 +373,15 @@ def scan_scores(
         r_total += tables[j].take(codes[:, index.m_prime + j])
     if index.m_prime == 0:
         return r_total
+    return _norm_sums(codes, index) * r_total
+
+
+def _norm_sums(codes: np.ndarray, index: IndexArtifact) -> np.ndarray:
+    """Per-item sum of the selected norm codewords."""
     l_total = np.zeros(codes.shape[0])
     for s, cb in enumerate(index.norm_codebooks):
         l_total += cb.values.take(codes[:, s])
-    return l_total * r_total
+    return l_total
 
 
 def item_sq_norms(index: IndexArtifact) -> np.ndarray:
@@ -423,9 +397,7 @@ def item_sq_norms(index: IndexArtifact) -> np.ndarray:
         dir_sq += sq.take(codes[:, index.m_prime + j])
     if index.m_prime == 0:
         return dir_sq
-    l_total = np.zeros(codes.shape[0])
-    for s, cb in enumerate(index.norm_codebooks):
-        l_total += cb.values.take(codes[:, s])
+    l_total = _norm_sums(codes, index)
     return l_total * l_total * dir_sq
 
 

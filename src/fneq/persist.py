@@ -26,9 +26,9 @@ import struct
 
 import numpy as np
 
-from .core import Codebook, CodeMatrix, NormCodebook, SubVectorLayout, code_dtype
+from .core import Codebook, CodeMatrix, NormCodebook, code_dtype
 from .errors import CorruptionError, InvalidInputError
-from .neq import IndexArtifact, IndexMetadata
+from .neq import IndexArtifact, IndexMetadata, _mode_layout
 
 MAGIC = b"FNEQ"
 VERSION = 1
@@ -107,7 +107,7 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
 
     offset = _HEADER.size
     try:
-        layout = SubVectorLayout(D=D, m_dir=1 if mode == "rq" else n_dir)
+        layout = _mode_layout(mode, D, n_dir)
         d_star = layout.D_star
         norm_codebooks = []
         for s in range(m_prime):

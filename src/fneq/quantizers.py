@@ -1,6 +1,8 @@
 """Baseline vector quantizers: product quantization and residual
-quantization, plus the encoder, decoder and per-query inner-product
-lookup table that both share with the norm-explicit index."""
+quantization, plus the codebook fitter, encoder, decoder and per-query
+inner-product lookup table that both share with the norm-explicit index.
+All of them follow the sub-space rule of ``SubVectorLayout``, training
+included."""
 
 from __future__ import annotations
 
@@ -65,17 +67,30 @@ def _subseeds(seed: int, count: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _map_subspaces(fit, layout: SubVectorLayout, seed: int) -> list:
-    """``[fit(s, sl) for s, sl in zip(_subseeds(seed, m_dir), layout.slices())]``
-    on up to ``thread_cap()`` threads.
+def _fit_codebooks(points: np.ndarray, count: int, layout: SubVectorLayout, fit, seed: int) -> list:
+    """``count`` codebooks by the sub-space rule of ``SubVectorLayout``:
+    codebook ``j`` is ``fit(sub_points, seed_j)`` on sub-space
+    ``j % m_dir`` of the residual that earlier codebooks there leave
+    (each point minus its nearest codeword), with ``_subseeds(seed, count)``.
 
-    The fits are independent and release the GIL in their distance and
-    centroid kernels. Results come back in sub-space order and the first
-    failing sub-space's exception is raised as is, so the outcome does
-    not depend on the cap (``map`` cancels the fits not yet started).
+    Each round of ``m_dir`` fits runs on up to ``thread_cap()`` threads;
+    the fits are independent and release the GIL in their distance and
+    centroid kernels. Results come back in order and the first failing
+    fit's exception is raised as is, so the outcome does not depend on
+    the cap (``map`` cancels the fits not yet started).
     """
+    seeds = _subseeds(seed, count)
+    slices = layout.slices()
+    residual = points.copy() if count > layout.m_dir else points
+    codebooks = []
     with ThreadPoolExecutor(max_workers=min(thread_cap(), layout.m_dir)) as ex:
-        return list(ex.map(fit, _subseeds(seed, layout.m_dir), layout.slices()))
+        for start in range(0, count, layout.m_dir):
+            if start:
+                for cb, sl in zip(codebooks[-layout.m_dir :], slices):
+                    residual[:, sl] -= cb.codewords[nearest_codes(residual[:, sl], cb)]
+            round_seeds = seeds[start : start + layout.m_dir]
+            codebooks += ex.map(lambda sl, s: fit(residual[:, sl], s), slices, round_seeds)
+    return codebooks
 
 
 def _codebook_slices(codebooks: tuple[Codebook, ...], layout: SubVectorLayout) -> list[slice]:
@@ -139,51 +154,38 @@ def decode(
     return out[0] if single else out
 
 
+def _train_kmeans(dataset: Dataset, count: int, layout: SubVectorLayout, k_star: int, params):
+    """``count`` k-means codebooks by the sub-space rule and the codes of
+    the training items, each its nearest codeword: the final k-means
+    assignment."""
+    if k_star > dataset.n:
+        raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
+
+    def fit(points: np.ndarray, seed: int) -> Codebook:
+        return kmeans(points, k_star, replace(params, seed=seed)).centroids
+
+    codebooks = tuple(_fit_codebooks(dataset.items, count, layout, fit, params.seed))
+    codes = encode_batch(dataset.items, codebooks, layout)
+    return codebooks, CodeMatrix(codes, k_stars=(k_star,) * count)
+
+
 def train_pq(
     dataset: Dataset, m_dir: int, k_star: int, params: ClusteringParams
 ) -> PQIndex:
-    """Independent k-means per sub-space. Each item's code is its final
-    k-means assignment, which is its nearest codeword."""
+    """Independent k-means per sub-space."""
     layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
-    if k_star > dataset.n:
-        raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
-    results = _map_subspaces(
-        lambda seed, sl: kmeans(dataset.items[:, sl], k_star, replace(params, seed=seed)),
-        layout,
-        params.seed,
-    )
-    return PQIndex(
-        layout=layout,
-        codebooks=tuple(r.centroids for r in results),
-        codes=CodeMatrix(
-            np.column_stack([r.assignments for r in results]), k_stars=(k_star,) * m_dir
-        ),
-    )
+    return PQIndex(layout, *_train_kmeans(dataset, m_dir, layout, k_star, params))
 
 
 def train_rq(
     dataset: Dataset, stages: int, k_star: int, params: ClusteringParams
 ) -> RQIndex:
     """Stage 1 clusters the raw data; every later stage clusters the
-    residual left by the previous reconstructions. Codes are the final
-    k-means assignments, the nearest codeword of each stage."""
+    residual left by the previous reconstructions."""
     if stages < 1:
         raise InvalidInputError("stages must be at least 1")
-    if k_star > dataset.n:
-        raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
-    seeds = _subseeds(params.seed, stages)
-    residual = dataset.items
-    codebooks = []
-    codes = np.empty((dataset.n, stages), dtype=np.int64)
-    for s in range(stages):
-        result = kmeans(residual, k_star, replace(params, seed=seeds[s]))
-        residual = residual - result.centroids.codewords[result.assignments]
-        codebooks.append(result.centroids)
-        codes[:, s] = result.assignments
-    return RQIndex(
-        codebooks=tuple(codebooks),
-        codes=CodeMatrix(codes, k_stars=(k_star,) * stages),
-    )
+    layout = SubVectorLayout(D=dataset.dim, m_dir=1)
+    return RQIndex(*_train_kmeans(dataset, stages, layout, k_star, params))
 
 
 def build_adc_table(

@@ -6,9 +6,17 @@ path than the library: explicit loops, direct formulas, or full sorts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from fneq.aggregation import FuzzyMeasure, SugenoInputs, cluster_weights, sugeno_integral
+from fneq.aggregation import (
+    FuzzyMeasure,
+    SugenoInputs,
+    cluster_weights,
+    fuse_codebooks,
+    sugeno_integral,
+)
 from fneq.clustering import (
     ClusteringParams,
     FuzzyClusterResult,
@@ -16,14 +24,26 @@ from fneq.clustering import (
     _check_points,
     _interval_partition,
     _weighted_centroids,
+    encode_scalar,
+    it2fpcm,
+    kmeans,
     kmeans_plusplus,
+    kmeans_scalar,
     squared_distances,
 )
-from fneq.core import Codebook
+from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms
 from fneq.errors import CorruptionError, InvalidInputError
 from fneq.evaluate import recall
-from fneq.neq import scan_scores, select_top_k
-from fneq.quantizers import ADCTable, nearest_codes
+from fneq.neq import IndexArtifact, IndexMetadata, scan_scores, select_top_k
+from fneq.quantizers import (
+    ADCTable,
+    PQIndex,
+    RQIndex,
+    _subseeds,
+    decode,
+    encode_batch,
+    nearest_codes,
+)
 
 
 def brute_force_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -309,3 +329,98 @@ def build_stage_table(q: np.ndarray, codebooks: tuple[Codebook, ...]) -> ADCTabl
     for s, cb in enumerate(codebooks):
         tables[s, : cb.k_star] = cb.codewords @ q
     return ADCTable(tables)
+
+
+def train_pq_reference(dataset: Dataset, m_dir: int, k_star: int, params) -> PQIndex:
+    """Product quantization as one k-means per sub-space, one after
+    another; the codes are the final k-means assignments."""
+    layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
+    results = [
+        kmeans(dataset.items[:, sl], k_star, replace(params, seed=seed))
+        for seed, sl in zip(_subseeds(params.seed, m_dir), layout.slices())
+    ]
+    return PQIndex(
+        layout=layout,
+        codebooks=tuple(r.centroids for r in results),
+        codes=CodeMatrix(
+            np.column_stack([r.assignments for r in results]), k_stars=(k_star,) * m_dir
+        ),
+    )
+
+
+def train_rq_reference(dataset: Dataset, stages: int, k_star: int, params) -> RQIndex:
+    """Residual quantization as a stage loop: each stage clusters the
+    residual of the last, and the codes are the final k-means assignments."""
+    seeds = _subseeds(params.seed, stages)
+    residual = dataset.items
+    codebooks = []
+    codes = np.empty((dataset.n, stages), dtype=np.int64)
+    for s in range(stages):
+        result = kmeans(residual, k_star, replace(params, seed=seeds[s]))
+        residual = residual - result.centroids.codewords[result.assignments]
+        codebooks.append(result.centroids)
+        codes[:, s] = result.assignments
+    return RQIndex(codebooks=tuple(codebooks), codes=CodeMatrix(codes, k_stars=(k_star,) * stages))
+
+
+def _f32(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+
+def train_index_reference(
+    dataset: Dataset, mode: str, m: int, m_prime: int, k_star: int, params,
+    measure: FuzzyMeasure | None = None,
+) -> IndexArtifact:
+    """``train_index`` mode by mode. pq and rq: the reference trainers,
+    then the items coded with the float32-rounded codebooks. NEQ modes:
+    direction codebooks fitted sub-space by sub-space on the unit
+    directions, rounded, then direction codes, relative norms and norm
+    stages fitted and coded one after another."""
+    if mode in ("pq", "rq"):
+        trainer = train_pq_reference if mode == "pq" else train_rq_reference
+        base = trainer(dataset, m, k_star, params)
+        layout = SubVectorLayout(D=dataset.dim, m_dir=m if mode == "pq" else 1)
+        norm_cbs, dir_cbs = (), tuple(Codebook(_f32(cb.codewords)) for cb in base.codebooks)
+        codes = encode_batch(dataset.items, dir_cbs, layout)
+        m_prime = 0
+    else:
+        layout = SubVectorLayout(D=dataset.dim, m_dir=m - m_prime)
+        norms = row_norms(dataset.items)
+        nonzero = norms > 0
+        directions = dataset.items[nonzero] / norms[nonzero, None]
+        dir_cbs = []
+        for seed, sl in zip(_subseeds(params.seed, layout.m_dir), layout.slices()):
+            sub_params = replace(params, seed=seed, c=k_star)
+            if mode == "neq_kmeans":
+                cb = kmeans(directions[:, sl], k_star, sub_params).centroids
+            else:
+                cb = fuse_codebooks(it2fpcm(directions[:, sl], sub_params), measure)
+            dir_cbs.append(Codebook(_f32(cb.codewords)))
+        dir_cbs = tuple(dir_cbs)
+        dir_codes = np.zeros((dataset.n, layout.m_dir), dtype=np.int64)
+        dir_codes[nonzero] = encode_batch(directions, dir_cbs, layout)
+        recon_norms = row_norms(decode(dir_codes[nonzero], dir_cbs, layout))
+        residual = np.zeros(dataset.n)
+        residual[nonzero] = norms[nonzero] / np.maximum(recon_norms, 1e-30)
+        norm_cbs, norm_codes = [], np.zeros((dataset.n, m_prime), dtype=np.int64)
+        for s in range(m_prime):
+            if s == 0 and not nonzero.all():
+                tail = kmeans_scalar(residual[nonzero], k_star - 1).values
+                values = np.sort(np.concatenate([[0.0], tail]))
+            else:
+                values = kmeans_scalar(residual, k_star, signed=s > 0).values
+            cb = NormCodebook(_f32(values), signed=s > 0)
+            norm_codes[:, s] = encode_scalar(residual, cb)
+            residual = residual - cb.values[norm_codes[:, s]]
+            norm_cbs.append(cb)
+        codes = np.hstack([norm_codes, dir_codes])
+    return IndexArtifact(
+        mode=mode,
+        layout=layout,
+        norm_codebooks=tuple(norm_cbs),
+        dir_codebooks=dir_cbs,
+        codes=CodeMatrix(codes, k_stars=(k_star,) * m),
+        metadata=IndexMetadata(
+            D=dataset.dim, n=dataset.n, m=m, m_prime=m_prime, k_star=k_star, seed=params.seed
+        ),
+    )

@@ -341,16 +341,15 @@ def test_c09_query_cost_parity(corpus):
 
         return run
 
-    def best_of(run, repeats=5):
-        times = []
-        for _ in range(repeats):
+    # Interleaved repeats, so a load spike hits both sides alike.
+    runs = {"pq": scan_all(pq, queries), "fuzzy": scan_all(fz, padded_queries)}
+    times = {name: [] for name in runs}
+    for _ in range(9):
+        for name, run in runs.items():
             t0 = time.perf_counter()
             run()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    t_pq = best_of(scan_all(pq, queries))
-    t_fz = best_of(scan_all(fz, padded_queries))
+            times[name].append(time.perf_counter() - t0)
+    t_pq, t_fz = min(times["pq"]), min(times["fuzzy"])
     assert t_fz <= 1.25 * t_pq, f"fuzzy scan {t_fz:.4f}s vs pq {t_pq:.4f}s"
 
 

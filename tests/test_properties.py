@@ -28,7 +28,7 @@ from fneq.neq import (
     train_index,
 )
 from fneq.persist import load_index, save_index
-from fneq.quantizers import build_adc_table, decode, encode_batch
+from fneq.quantizers import build_adc_table, decode, encode_batch, train_pq, train_rq
 
 from oracles import (
     build_stage_table,
@@ -39,6 +39,9 @@ from oracles import (
     lloyd_reference,
     rq_decode,
     rq_encode,
+    train_index_reference,
+    train_pq_reference,
+    train_rq_reference,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -233,6 +236,20 @@ def test_it2fpcm_equals_reference_bit_for_bit(
     )
 
 
+def training_items(seed: int, k_star: int, zero_share: float, values: str) -> Dataset:
+    """Six-wide items with at least ``k_star`` non-zero rows. Integer and
+    thirds data put float64 codewords on exact ties that the stored
+    float32 codebooks break one way or the other."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3 * k_star, 90))
+    if values == "normal":
+        items = rng.normal(size=(n, 6)) * rng.lognormal(0.0, 0.8, size=(n, 1))
+    else:
+        items = rng.integers(-3, 4, size=(n, 6)) / (3.0 if values == "thirds" else 1.0)
+    items[rng.permutation(n)[: int(zero_share * (n - k_star))]] = 0.0
+    return Dataset(items)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -249,22 +266,51 @@ def test_training_codes_equal_reencoded_codes(
     seed, mode, m_prime, parts, k_star, zero_share, values
 ):
     """``parts`` direction codebooks (rq: stages; pq and rq ignore
-    ``m_prime``). Integer and thirds data put float64 codewords on exact
-    ties that the stored float32 codebooks break one way or the other."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3 * k_star, 90))
-    if values == "normal":
-        items = rng.normal(size=(n, 6)) * rng.lognormal(0.0, 0.8, size=(n, 1))
-    else:
-        items = rng.integers(-3, 4, size=(n, 6)) / (3.0 if values == "thirds" else 1.0)
-    items[rng.permutation(n)[: int(zero_share * (n - k_star))]] = 0.0
-    dataset = Dataset(items)
+    ``m_prime``)."""
+    dataset = training_items(seed, k_star, zero_share, values)
     params = ClusteringParams(seed=seed, max_iters=15)
     m = parts if mode in ("pq", "rq") else m_prime + parts
     index = train_index(dataset, mode, m, m_prime, k_star, params)
     again = reencode(index, dataset).codes.codes
     assert again.dtype == index.codes.codes.dtype
     np.testing.assert_array_equal(again, index.codes.codes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    parts=st.sampled_from([1, 2, 3, 6]),
+    m_prime=st.sampled_from([1, 2]),
+    k_star=st.integers(2, 8),
+    zero_share=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    values=st.sampled_from(["normal", "integers", "thirds"]),
+    max_iters=st.integers(1, 20),
+    cap=st.integers(1, 3),
+    measure=measures,
+)
+def test_trainers_equal_references_bit_for_bit(
+    seed, parts, m_prime, k_star, zero_share, values, max_iters, cap, measure
+):
+    """``train_pq``/``train_rq`` give the references' codebooks and codes,
+    and ``train_index`` saves the reference's bytes in every mode, at any
+    ``FNEQ_THREADS`` cap and when ``max_iters`` stops k-means early."""
+    dataset = training_items(seed, k_star, zero_share, values)
+    params = ClusteringParams(seed=seed, max_iters=max_iters)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setenv("FNEQ_THREADS", str(cap))
+        for train, reference in ((train_pq, train_pq_reference), (train_rq, train_rq_reference)):
+            got = train(dataset, parts, k_star, params)
+            want = reference(dataset, parts, k_star, params)
+            assert [cb.codewords.tobytes() for cb in got.codebooks] == [
+                cb.codewords.tobytes() for cb in want.codebooks
+            ]
+            np.testing.assert_array_equal(got.codes.codes, want.codes.codes)
+        for mode in MODES:
+            norms = 0 if mode in ("pq", "rq") else m_prime
+            args = (dataset, mode, norms + parts, norms, k_star, params, measure)
+            save_index(Path(tmp) / "got", train_index(*args))
+            save_index(Path(tmp) / "want", train_index_reference(*args))
+            assert (Path(tmp) / "got").read_bytes() == (Path(tmp) / "want").read_bytes(), mode
 
 
 #: Values that make codewords coincide, distances tie and zeros carry a sign.

@@ -97,7 +97,7 @@ def failing_on(trainer, seeds):
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("module,name,mode", [
-    (fneq.quantizers, "kmeans", "pq"),
+    (fneq.neq, "kmeans", "pq"),
     (fneq.neq, "kmeans", "neq_kmeans"),
     (fneq.neq, "it2fpcm", "fuzzy2_neq"),
 ])
