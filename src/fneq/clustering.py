@@ -16,6 +16,11 @@ IT2FPCM iterates four partition-matrix updates and two centroid updates:
 Distances are squared Euclidean to the midpoint of the two centroid
 bounds, which keeps the interval ordering (lower <= upper) exact. The
 loop stops when the objective improves by less than ``epsilon``.
+
+Both trainers skip repeated work without changing a bit of output: an
+array changes orientation only where each entry depends on one point and
+one centroid alone or the reduction is a min, and every sum keeps its
+layout (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
 """
 
 from __future__ import annotations
@@ -154,21 +159,22 @@ def _check_points(points: np.ndarray, c: int) -> np.ndarray:
 
 def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted seeding; falls back to uniform picks once every
-    remaining point coincides with a chosen centroid."""
+    remaining point coincides with a chosen centroid.
+
+    Each seed's distances are one 1 x n ``cdist`` row, the fast
+    orientation; each entry equals the n x 1 column's, as it depends on
+    one point and the seed alone.
+    """
     n = points.shape[0]
     centroids = np.empty((c, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
     if c == 1:
         return centroids
-    closest = squared_distances(points, centroids[:1]).ravel()
+    closest = squared_distances(centroids[:1], points)[0]
     for i in range(1, c):
         total = closest.sum()
-        if total > 0:
-            pick = rng.choice(n, p=closest / total)
-        else:
-            pick = rng.integers(n)
-        centroids[i] = points[pick]
-        closest = np.minimum(closest, squared_distances(points, centroids[i : i + 1]).ravel())
+        centroids[i] = points[rng.choice(n, p=closest / total) if total > 0 else rng.integers(n)]
+        np.minimum(closest, squared_distances(centroids[i : i + 1], points)[0], out=closest)
     return centroids
 
 
@@ -243,33 +249,35 @@ def kmeans(points: np.ndarray, c: int, params: ClusteringParams) -> KMeansResult
     )
 
 
-def _partition_matrix(d2: np.ndarray, exponent: float) -> np.ndarray:
+def _shared_ratios(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every partition of the ``(c, n)`` distances ``d2`` shares:
+    the C-ordered ``(n, c)`` ratios to each point's smallest non-zero
+    distance (in (0, 1] once powered), the points at distance zero from
+    some centroid, and their rows of the zero mask. Overwrites ``d2``."""
+    zero = d2 == 0.0
+    singular = zero.any(axis=0)
+    d2[zero] = 1.0
+    ratios = np.divide(d2.T, d2.min(axis=0)[:, None], order="C")
+    return ratios, singular, zero[:, singular].T.astype(np.float64)
+
+
+def _partition_matrix(shared: tuple, exponent: float) -> np.ndarray:
     """Row-stochastic memberships ``d2^(-1/(u-1))`` normalized over
     clusters. A point at distance zero from one or more centroids gets
     its mass split evenly among them (the limit of the update rule)."""
-    p = 1.0 / (exponent - 1.0)
-    zero = d2 == 0.0
-    singular = zero.any(axis=1)
-    # Normalizing by the row minimum keeps the powers in (0, 1].
-    safe = np.where(zero, 1.0, d2)
-    floor = safe.min(axis=1, keepdims=True)
-    w = np.power(safe / floor, -p)
-    w[singular] = zero[singular].astype(np.float64)
-    return w / w.sum(axis=1, keepdims=True)
+    ratios, singular, crisp = shared
+    w = np.power(ratios, -(1.0 / (exponent - 1.0)))
+    w[singular] = crisp
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
-def _interval_partition(
-    d2: np.ndarray, lower_exp: float, upper_exp: float
-) -> tuple[np.ndarray, np.ndarray]:
-    a = _partition_matrix(d2, lower_exp)
-    if upper_exp == lower_exp:
+def _interval_partition(shared: tuple, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
+    a = _partition_matrix(shared, lower)
+    if upper == lower:
         return a, a.copy()
-    b = _partition_matrix(d2, upper_exp)
-    return np.minimum(a, b), np.maximum(a, b)
-
-
-def _weighted_centroids(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return (weights.T @ points) / weights.sum(axis=0)[:, None]
+    b = _partition_matrix(shared, upper)
+    return np.minimum(a, b), np.maximum(a, b, out=b)
 
 
 def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
@@ -279,6 +287,15 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
     If the objective has not improved by less than ``epsilon`` within
     ``max_iters`` iterations, the best-so-far state is returned with
     ``converged=False``.
+
+    Per iteration the midpoint distances are one ``(c, n)`` ``cdist``,
+    whose zero mask, singular points and per-point minima are read along
+    axis 0. Every partition shares one C-ordered ``(n, c)`` ratio matrix,
+    so ``np.power``, the row sums and the normalization see the layout
+    they had when each partition built its own ``(n, c)`` distances: the
+    output is bit-identical. The weighted-centroid product and column
+    sums and the objective's weighted sums (multiplied in place) keep
+    their layouts.
     """
     c = params.c
     points = _check_points(points, c)
@@ -286,51 +303,50 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
     v_lo = kmeans_plusplus(points, c, rng)
     v_up = v_lo.copy()
 
-    same_exponents = (params.eta_lower, params.eta_upper) == (params.xi_lower, params.xi_upper)
+    eta = (params.eta_lower, params.eta_upper)
+    same_exponents = eta == (params.xi_lower, params.xi_upper)
     objective = np.inf
     improvement = np.inf
     converged = False
     n_iter = 0
     best = None
     for n_iter in range(1, params.max_iters + 1):
-        d2 = squared_distances(points, (v_lo + v_up) / 2.0)
-        mu_lo, mu_up = _interval_partition(d2, params.xi_lower, params.xi_upper)
-        if same_exponents:
-            # The same partition of the same distances: bit-identical.
-            tau_lo, tau_up = mu_lo, mu_up
-        else:
-            tau_lo, tau_up = _interval_partition(d2, params.eta_lower, params.eta_upper)
+        shared = _shared_ratios(squared_distances((v_lo + v_up) / 2.0, points))
+        mu = _interval_partition(shared, params.xi_lower, params.xi_upper)
+        # At equal exponents the possibilities are the memberships, bit for bit.
+        tau = mu if same_exponents else _interval_partition(shared, *eta)
 
-        w_lo = np.power(mu_lo + tau_lo, params.xi_lower)
-        w_up = np.power(mu_up + tau_up, params.xi_lower)
-        v_lo = _weighted_centroids(points, w_lo)
-        v_up = _weighted_centroids(points, w_up)
-
-        # Weighted mean distortion over both bounds. Normalizing by the
-        # weight mass keeps the epsilon test meaningful at high
-        # fuzziness exponents, where raw weights are vanishingly small.
-        num = (w_lo * squared_distances(points, v_lo)).sum()
-        num += (w_up * squared_distances(points, v_up)).sum()
-        new_objective = float(num / (w_lo.sum() + w_up.sum()))
+        # Per bound: weights (mu + tau)^xi1, centroids and the weighted
+        # distortion, normalized by the weight mass so the epsilon test
+        # stays meaningful at high fuzziness, where raw weights are tiny.
+        v, num, mass = [], 0.0, 0.0
+        for m, t in zip(mu, tau):
+            w = np.power(m + t, params.xi_lower)
+            v.append((w.T @ points) / w.sum(axis=0)[:, None])
+            d2 = squared_distances(points, v[-1])
+            d2 *= w
+            num, mass = num + d2.sum(), mass + w.sum()
+        v_lo, v_up = v
+        new_objective = float(num / mass)
         improvement = abs(objective - new_objective)
         objective = new_objective
         if best is None or objective < best[0]:
-            best = (objective, v_lo, v_up, mu_lo, mu_up, tau_lo, tau_up)
+            best = (objective, v_lo, v_up, mu, tau)
         if improvement < params.epsilon:
             converged = True
             break
 
     if not converged:
         # Iteration budget exhausted: hand back the best state seen.
-        objective, v_lo, v_up, mu_lo, mu_up, tau_lo, tau_up = best
+        objective, v_lo, v_up, mu, tau = best
 
     return FuzzyClusterResult(
         centroids_lower=v_lo,
         centroids_upper=v_up,
-        membership_lower=mu_lo.T,
-        membership_upper=mu_up.T,
-        possibility_lower=tau_lo.T,
-        possibility_upper=tau_up.T,
+        membership_lower=mu[0].T,
+        membership_upper=mu[1].T,
+        possibility_lower=tau[0].T,
+        possibility_upper=tau[1].T,
         objective=objective,
         final_improvement=float(improvement),
         n_iter=n_iter,

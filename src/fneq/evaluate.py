@@ -119,7 +119,11 @@ def recall_item_curve(
     slice of a wider product can round differently.
     """
     counts = _checked_counts(item_counts, t, min(dataset.n, index.n))
-    return _curve(index, queries, counts, _prefix_truths(dataset, queries, counts, t), t)
+    truths = _prefix_truths(dataset, queries, counts, t)
+    values = [[] for _ in counts]
+    for i, q in enumerate(queries.queries):
+        _add_prefix_recalls(values, scan_scores(q, index, limit=counts[-1]), truths, counts, i, t)
+    return [(count, float(np.mean(vals)) if vals else 0.0) for count, vals in zip(counts, values)]
 
 
 def _prefix_truths(dataset: Dataset, queries: QuerySet, counts: list[int], t: int) -> list:
@@ -128,14 +132,10 @@ def _prefix_truths(dataset: Dataset, queries: QuerySet, counts: list[int], t: in
     return [[select_top_k(s, t) for s in qs @ dataset.items[:count].T] for count in counts]
 
 
-def _curve(index, queries: QuerySet, counts: list[int], truths: list, t: int) -> list:
-    """``recall_item_curve`` against precomputed ``_prefix_truths``."""
-    values = [[] for _ in counts]
-    for i, q in enumerate(queries.queries):
-        scores = scan_scores(q, index, limit=counts[-1])
-        for truth, count, vals in zip(truths, counts, values):
-            vals.append(recall(select_top_k(scores[:count], t), truth[i]))
-    return [(count, float(np.mean(vals)) if vals else 0.0) for count, vals in zip(counts, values)]
+def _add_prefix_recalls(values: list, scores, truths: list, counts: list[int], i: int, t: int):
+    """Append query ``i``'s recall on each count's prefix of ``scores``."""
+    for vals, truth, count in zip(values, truths, counts):
+        vals.append(recall(select_top_k(scores[:count], t), truth[i]))
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,11 @@ class EvalReport:
         return float(np.mean(self.running_time_seconds))
 
 
-def _query_metrics(index, truth: GroundTruth, queries: QuerySet, k: int) -> np.ndarray:
-    """One (recall, precision, F1) row per query for the index's top-k."""
-    rows = np.empty((queries.count, 3))
-    for i, q in enumerate(queries.queries):
-        approx = select_top_k(scan_scores(q, index), k)
-        r = recall(approx, truth.ids[i])
-        p = precision(approx, truth.ids[i])
-        rows[i] = r, p, f1(p, r)
-    return rows
+def _metric_row(scores: np.ndarray, relevant: np.ndarray, k: int) -> tuple[float, float, float]:
+    """(recall, precision, F1) of the top-k of ``scores``."""
+    approx = select_top_k(scores, k)
+    r, p = recall(approx, relevant), precision(approx, relevant)
+    return r, p, f1(p, r)
 
 
 def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> EvalReport:
@@ -207,9 +203,13 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
     corpus against its exact ground truth. Means and stds are reported
     across iterations.
 
-    Per-iteration wall time covers codebook training, corpus encoding
-    and the query scan. Fixing ``seed`` fixes the resamples and the
-    training seeds, so the report is reproducible.
+    Each query is scanned once per iteration, over all items; the curve
+    reads prefixes of those scores, which equal scans of the prefixes
+    because the scan is elementwise. Per-iteration wall time covers
+    codebook training, corpus encoding, the query scans and the top-k
+    metrics; the curve's prefix selections are timed per query and
+    subtracted. Fixing ``seed`` fixes the resamples and the training
+    seeds, so the report is reproducible.
     """
     if iterations < 1:
         raise InvalidInputError("iterations must be at least 1")
@@ -227,37 +227,32 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
     truth = exact_topk(dataset, queries, t)
     truths = _prefix_truths(dataset, queries, counts, t)
     rng = np.random.default_rng(seed)
-    recalls, precisions, f1s, times = [], [], [], []
-    curves = []
+    metrics, times, curves = [], [], []
     for it in range(iterations):
         sample = rng.integers(0, dataset.n, size=dataset.n)
         boot = Dataset(dataset.items[sample])
         train_seed = int(rng.integers(0, 2**63 - 1))
 
         start = time.perf_counter()
-        trained = train_index(
-            boot,
-            config.mode,
-            config.m,
-            config.m_prime,
-            config.k_star,
-            replace(config.params, seed=train_seed),
-            measure=config.measure,
-        )
+        params = replace(config.params, seed=train_seed)
+        trained = train_index(boot, config.mode, config.m, config.m_prime, config.k_star, params,
+                              measure=config.measure)
         index = reencode(trained, dataset)
-        rows = _query_metrics(index, truth, queries, k)
-        r, p, f = rows.mean(axis=0) if rows.size else (0.0, 0.0, 0.0)
-        times.append(time.perf_counter() - start)
-        recalls.append(r)
-        precisions.append(p)
-        f1s.append(f)
-        if counts:
-            curves.append(_curve(index, queries, counts, truths, t))
+        rows = np.empty((queries.count, 3))
+        values = [[] for _ in counts]
+        excluded = 0.0
+        for i, q in enumerate(queries.queries):
+            scores = scan_scores(q, index)
+            rows[i] = _metric_row(scores, truth.ids[i], k)
+            mark = time.perf_counter()
+            _add_prefix_recalls(values, scores, truths, counts, i, t)
+            excluded += time.perf_counter() - mark
+        metrics.append(rows.mean(axis=0) if rows.size else (0.0, 0.0, 0.0))
+        times.append(time.perf_counter() - start - excluded)
+        curves.append([float(np.mean(vals)) if vals else 0.0 for vals in values])
 
-    curve = tuple(
-        (counts[i], float(np.mean([c[i][1] for c in curves])))
-        for i in range(len(counts))
-    ) if curves else ()
+    recalls, precisions, f1s = (tuple(m) for m in zip(*metrics))
+    curve = tuple((count, float(np.mean(col))) for count, col in zip(counts, zip(*curves)))
     return EvalReport(
         method=config.method_label or config.mode,
         dataset_label=config.dataset_label,
@@ -270,9 +265,9 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
         precision_std=float(np.std(precisions)),
         f1_std=float(np.std(f1s)),
         running_time_seconds=tuple(times),
-        recalls=tuple(recalls),
-        precisions=tuple(precisions),
-        f1s=tuple(f1s),
+        recalls=recalls,
+        precisions=precisions,
+        f1s=f1s,
         curve=curve,
     )
 

@@ -6,6 +6,7 @@ path than the library: explicit loops, direct formulas, or full sorts.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,19 +23,31 @@ from fneq.clustering import (
     FuzzyClusterResult,
     KMeansResult,
     _check_points,
-    _interval_partition,
-    _weighted_centroids,
     encode_scalar,
     it2fpcm,
     kmeans,
-    kmeans_plusplus,
     kmeans_scalar,
     squared_distances,
 )
-from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms
+from fneq.core import (
+    Codebook, CodeMatrix, Dataset, NormCodebook, QuerySet, SubVectorLayout, row_norms,
+)
 from fneq.errors import CorruptionError, InvalidInputError
-from fneq.evaluate import recall
-from fneq.neq import IndexArtifact, IndexMetadata, scan_scores, select_top_k
+from fneq.evaluate import (
+    DEFAULT_ITEM_COUNTS,
+    EvalConfig,
+    EvalReport,
+    GroundTruth,
+    _checked_counts,
+    _prefix_truths,
+    exact_topk,
+    f1,
+    precision,
+    recall,
+)
+from fneq.neq import (
+    IndexArtifact, IndexMetadata, reencode, scan_scores, select_top_k, train_index,
+)
 from fneq.quantizers import (
     ADCTable,
     PQIndex,
@@ -85,6 +98,63 @@ def uniform_bin_mse(values: np.ndarray, k: int) -> float:
     mids = (edges[:-1] + edges[1:]) / 2.0
     idx = np.clip(np.digitize(values, edges[1:-1]), 0, k - 1)
     return float(np.mean((values - mids[idx]) ** 2))
+
+
+# Frozen copies of the library's k-means++ seeding, interval partition
+# and weighted centroids as they were before the seeding and partition
+# changed orientation: an (n, 1) distance column per seed, and each
+# exponent's partition built from its own (n, c) distance matrix. Every
+# seeding oracle below uses them, so the bit-for-bit tests compare the
+# library with code it does not share.
+
+
+def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+    """D^2-weighted seeding; falls back to uniform picks once every
+    remaining point coincides with a chosen centroid."""
+    n = points.shape[0]
+    centroids = np.empty((c, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    if c == 1:
+        return centroids
+    closest = squared_distances(points, centroids[:1]).ravel()
+    for i in range(1, c):
+        total = closest.sum()
+        if total > 0:
+            pick = rng.choice(n, p=closest / total)
+        else:
+            pick = rng.integers(n)
+        centroids[i] = points[pick]
+        closest = np.minimum(closest, squared_distances(points, centroids[i : i + 1]).ravel())
+    return centroids
+
+
+def _partition_matrix(d2: np.ndarray, exponent: float) -> np.ndarray:
+    """Row-stochastic memberships ``d2^(-1/(u-1))`` normalized over
+    clusters. A point at distance zero from one or more centroids gets
+    its mass split evenly among them (the limit of the update rule)."""
+    p = 1.0 / (exponent - 1.0)
+    zero = d2 == 0.0
+    singular = zero.any(axis=1)
+    # Normalizing by the row minimum keeps the powers in (0, 1].
+    safe = np.where(zero, 1.0, d2)
+    floor = safe.min(axis=1, keepdims=True)
+    w = np.power(safe / floor, -p)
+    w[singular] = zero[singular].astype(np.float64)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _interval_partition(
+    d2: np.ndarray, lower_exp: float, upper_exp: float
+) -> tuple[np.ndarray, np.ndarray]:
+    a = _partition_matrix(d2, lower_exp)
+    if upper_exp == lower_exp:
+        return a, a.copy()
+    b = _partition_matrix(d2, upper_exp)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _weighted_centroids(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return (weights.T @ points) / weights.sum(axis=0)[:, None]
 
 
 def fpcm_reference(
@@ -290,6 +360,101 @@ def recall_cost_reference(index, truth_ids: np.ndarray, queries, k: int) -> floa
         for i in range(queries.count)
     ]
     return -float(np.mean(values))
+
+
+# Frozen copy of ``bootstrap_eval`` with its two scans per query and
+# iteration, and the two helpers it scanned through.
+
+
+def _curve(index, queries: QuerySet, counts: list[int], truths: list, t: int) -> list:
+    """``recall_item_curve`` against precomputed ``_prefix_truths``."""
+    values = [[] for _ in counts]
+    for i, q in enumerate(queries.queries):
+        scores = scan_scores(q, index, limit=counts[-1])
+        for truth, count, vals in zip(truths, counts, values):
+            vals.append(recall(select_top_k(scores[:count], t), truth[i]))
+    return [(count, float(np.mean(vals)) if vals else 0.0) for count, vals in zip(counts, values)]
+
+
+def _query_metrics(index, truth: GroundTruth, queries: QuerySet, k: int) -> np.ndarray:
+    """One (recall, precision, F1) row per query for the index's top-k."""
+    rows = np.empty((queries.count, 3))
+    for i, q in enumerate(queries.queries):
+        approx = select_top_k(scan_scores(q, index), k)
+        r = recall(approx, truth.ids[i])
+        p = precision(approx, truth.ids[i])
+        rows[i] = r, p, f1(p, r)
+    return rows
+
+
+def bootstrap_eval_reference(config: EvalConfig, iterations: int = 10, seed: int = 0) -> EvalReport:
+    """``bootstrap_eval`` as it was with two scans per query and
+    iteration: all items for the top-k metrics, then the largest curve
+    count for the curve, outside the timed region."""
+    if iterations < 1:
+        raise InvalidInputError("iterations must be at least 1")
+    dataset, queries = config.dataset, config.queries
+    t, k = config.truth_depth, config.k
+    if t > dataset.n:
+        raise InvalidInputError(f"truth depth {t} exceeds n={dataset.n}")
+
+    counts = config.item_counts
+    if counts is None:
+        counts = tuple(c for c in DEFAULT_ITEM_COUNTS if t <= c <= dataset.n)
+    if counts:
+        counts = _checked_counts(counts, t, dataset.n)
+
+    truth = exact_topk(dataset, queries, t)
+    truths = _prefix_truths(dataset, queries, counts, t)
+    rng = np.random.default_rng(seed)
+    recalls, precisions, f1s, times = [], [], [], []
+    curves = []
+    for it in range(iterations):
+        sample = rng.integers(0, dataset.n, size=dataset.n)
+        boot = Dataset(dataset.items[sample])
+        train_seed = int(rng.integers(0, 2**63 - 1))
+
+        start = time.perf_counter()
+        trained = train_index(
+            boot,
+            config.mode,
+            config.m,
+            config.m_prime,
+            config.k_star,
+            replace(config.params, seed=train_seed),
+            measure=config.measure,
+        )
+        index = reencode(trained, dataset)
+        rows = _query_metrics(index, truth, queries, k)
+        r, p, f = rows.mean(axis=0) if rows.size else (0.0, 0.0, 0.0)
+        times.append(time.perf_counter() - start)
+        recalls.append(r)
+        precisions.append(p)
+        f1s.append(f)
+        if counts:
+            curves.append(_curve(index, queries, counts, truths, t))
+
+    curve = tuple(
+        (counts[i], float(np.mean([c[i][1] for c in curves])))
+        for i in range(len(counts))
+    ) if curves else ()
+    return EvalReport(
+        method=config.method_label or config.mode,
+        dataset_label=config.dataset_label,
+        items=dataset.n,
+        iterations=iterations,
+        recall_mean=float(np.mean(recalls)),
+        precision_mean=float(np.mean(precisions)),
+        f1_mean=float(np.mean(f1s)),
+        recall_std=float(np.std(recalls)),
+        precision_std=float(np.std(precisions)),
+        f1_std=float(np.std(f1s)),
+        running_time_seconds=tuple(times),
+        recalls=tuple(recalls),
+        precisions=tuple(precisions),
+        f1s=tuple(f1s),
+        curve=curve,
+    )
 
 
 def rq_encode(items: np.ndarray, codebooks: tuple[Codebook, ...]) -> np.ndarray:

@@ -212,6 +212,19 @@ class TestBootstrapEval:
         assert report.curve == ()  # n=120 is under every default count
         assert DEFAULT_ITEM_COUNTS[0] == 2048
 
+    def test_each_iteration_scans_each_query_once(self, monkeypatch):
+        scans = []
+        scan = fneq.evaluate.scan_scores
+
+        def spy(q, index, limit=None):
+            scans.append(limit)
+            return scan(q, index, limit=limit)
+
+        monkeypatch.setattr(fneq.evaluate, "scan_scores", spy)
+        config = self.make_config()
+        bootstrap_eval(config, iterations=3, seed=2)
+        assert scans == [None] * (3 * config.queries.count)
+
     def test_iterations_validated(self):
         with pytest.raises(InvalidInputError):
             bootstrap_eval(self.make_config(), iterations=0)

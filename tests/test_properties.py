@@ -12,10 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fneq.aggregation import FuzzyMeasure, fuse_codebooks
-from fneq.clustering import ClusteringParams, FuzzyClusterResult, it2fpcm, kmeans
+from fneq.clustering import (
+    ClusteringParams,
+    FuzzyClusterResult,
+    _interval_partition,
+    _shared_ratios,
+    it2fpcm,
+    kmeans,
+    kmeans_plusplus,
+    squared_distances,
+)
 from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, QuerySet, SubVectorLayout
 from fneq.errors import InvalidInputError
-from fneq.evaluate import recall_item_curve
+from fneq.evaluate import EvalConfig, bootstrap_eval, recall_item_curve
 from fneq.neq import (
     MODES,
     IndexArtifact,
@@ -30,7 +39,9 @@ from fneq.neq import (
 from fneq.persist import load_index, save_index
 from fneq.quantizers import build_adc_table, decode, encode_batch, train_pq, train_rq
 
+import oracles
 from oracles import (
+    bootstrap_eval_reference,
     build_stage_table,
     curve_reference,
     full_sort_topk,
@@ -124,6 +135,73 @@ def test_kmeans_equals_lloyd_reference_bit_for_bit(seed, n, d, values, layout, m
     np.testing.assert_array_equal(got.assignments, want.assignments)
     assert got.inertia_history == want.inertia_history
     assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    d=st.integers(1, 64),
+    values=st.sampled_from(["normal", "integers", "zeros"]),
+    data=st.data(),
+)
+def test_kmeans_plusplus_equals_frozen_seeding_bit_for_bit(seed, n, d, values, data):
+    """Few distinct rows and ``c`` up to ``n`` make every remaining point
+    coincide with a seed, so the uniform fallback fires. The draws are
+    recorded with their probabilities, which a last-bit change in a
+    distance moves even when the picks stay the same."""
+    points = lloyd_points(seed, n, d, data.draw(st.integers(1, n), label="distinct"), values,
+                          "contiguous")
+    c = data.draw(st.integers(1, n), label="c")
+    runs = [RecordingRng(seed) for _ in range(2)]
+    got = kmeans_plusplus(points, c, runs[0])
+    want = oracles.kmeans_plusplus(points, c, runs[1])
+    assert got.tobytes() == want.tobytes()
+    assert runs[0].draws == runs[1].draws
+
+
+class RecordingRng:
+    """A seeded generator that records each draw and its probabilities."""
+
+    def __init__(self, seed: int):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, n):
+        self.draws.append(("integers", n))
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.draws.append(("choice", n, p.tobytes()))
+        return self.rng.choice(n, p=p)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    d=st.integers(1, 4),
+    c=st.integers(1, 20),
+    on_centre=st.sampled_from([0.0, 0.3, 1.0]),
+    lower=st.floats(1.05, 12.0),
+    width=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+)
+def test_interval_partition_equals_frozen_partition_bit_for_bit(
+    seed, n, d, c, on_centre, lower, width
+):
+    """Integer centres, some repeated, and an ``on_centre`` share of the
+    points placed on a centre: points at distance zero from one or
+    several centres."""
+    rng = np.random.default_rng(seed)
+    centres = rng.integers(-2, 3, size=(c, d)).astype(np.float64)
+    centres[rng.random(c) < 0.3] = centres[0]
+    points = rng.integers(-2, 3, size=(n, d)) + rng.normal(size=(n, d)) * rng.integers(0, 2)
+    placed = rng.random(n) < on_centre
+    points[placed] = centres[rng.integers(0, c, size=placed.sum())]
+    shared = _shared_ratios(squared_distances(centres, points))
+    got = _interval_partition(shared, lower, lower + width)
+    want = oracles._interval_partition(squared_distances(points, centres), lower, lower + width)
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous and (g.shape, g.tobytes()) == (w.shape, w.tobytes())
 
 
 def interval_result(seed: int, c: int, d: int, n: int, collapse: float, levels: str):
@@ -435,3 +513,35 @@ def test_recall_item_curve_equals_count_by_count_reference(
         assert recall_item_curve(index, dataset, queries, counts, t) == curve_reference(
             index, dataset, queries, counts, t
         ), f"t={t}"
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["pq", "neq_kmeans", "fuzzy2_neq"]),
+    n=st.integers(20, 60),
+    n_queries=st.integers(0, 4),
+    iterations=st.integers(1, 2),
+    data=st.data(),
+)
+def test_bootstrap_eval_equals_two_scan_reference(seed, mode, n, n_queries, iterations, data):
+    """Every report field but the wall times matches the loop that scans
+    each query twice per iteration."""
+    rng = np.random.default_rng(seed)
+    items = rng.normal(size=(n, 6)) * rng.lognormal(0.0, 0.8, size=(n, 1))
+    if data.draw(st.booleans(), label="integers"):
+        items = np.round(items)
+    t = data.draw(st.integers(1, 5), label="t")
+    counts = sorted(set(data.draw(st.lists(st.integers(t, n), max_size=3), label="counts")))
+    config = EvalConfig(
+        dataset=Dataset(items), queries=QuerySet(rng.normal(size=(n_queries, 6))), mode=mode,
+        m=3 if mode == "pq" else 4, m_prime=0 if mode == "pq" else 1, k_star=4,
+        params=ClusteringParams(seed=seed, max_iters=5), truth_depth=t,
+        retrieved_k=data.draw(st.one_of(st.none(), st.integers(1, n)), label="k"),
+        item_counts=tuple(counts) or None,
+    )
+    got = vars(bootstrap_eval(config, iterations, seed))
+    want = vars(bootstrap_eval_reference(config, iterations, seed))
+    for report in (got, want):
+        assert len(report.pop("running_time_seconds")) == iterations
+    assert got == want
