@@ -75,8 +75,10 @@ class ClusteringParams:
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Lloyd output: each label is the nearest centroid and each centroid
-    is the mean of its cell (up to the empty-cluster repair)."""
+    """Lloyd output: each label is the nearest of the returned centroids,
+    and ``converged`` is True at either stop of ``kmeans``. Each centroid
+    is the mean of its cell (up to the empty-cluster repair) only at a
+    label-stability stop."""
 
     centroids: Codebook
     assignments: np.ndarray
@@ -178,9 +180,15 @@ def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def kmeans(points: np.ndarray, c: int, params: ClusteringParams) -> KMeansResult:
+def kmeans(
+    points: np.ndarray, c: int, params: ClusteringParams, *, tol: float = 0.0
+) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, run until the assignment
-    stabilizes (so both optimality conditions hold at termination).
+    stabilizes (so both optimality conditions hold at termination) or,
+    for ``tol > 0``, until an iteration lowers the inertia by at most
+    ``tol`` times the new inertia. That test is relative, so it does not
+    depend on the data's scale; at such a stop the labels are nearest to
+    the returned centroids, the means of the previous labels' cells.
 
     Empty clusters are re-seeded from the point farthest from its
     current centroid; inertia never increases across iterations.
@@ -204,6 +212,8 @@ def kmeans(points: np.ndarray, c: int, params: ClusteringParams) -> KMeansResult
       copies the float matrix transposed first; this copies a boolean.)
     """
     points = _check_points(points, c)
+    if not tol >= 0.0:
+        raise InvalidInputError("tol must be non-negative")
     rng = np.random.default_rng(params.seed)
     centroids = kmeans_plusplus(points, c, rng)
     columns = points.T.copy() if points.shape[1] > 1 else None
@@ -234,10 +244,11 @@ def kmeans(points: np.ndarray, c: int, params: ClusteringParams) -> KMeansResult
         closest = d2.min(axis=0)
         new_labels = (d2 == closest).argmax(axis=0)
         history.append(float(closest.sum()))
-        if np.array_equal(new_labels, labels):
+        stable = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if stable or (tol > 0.0 and history[-2] - history[-1] <= tol * history[-1]):
             converged = True
             break
-        labels = new_labels
 
     return KMeansResult(
         centroids=Codebook(centroids),

@@ -39,16 +39,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregation import FuzzyMeasure, fuse_codebooks
-from .clustering import (
-    ClusteringParams,
-    encode_scalar,
-    it2fpcm,
-    kmeans,
-    kmeans_scalar,
-)
+from .clustering import ClusteringParams, encode_scalar, it2fpcm, kmeans_scalar
 from .core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms
 from .errors import CorruptionError, InvalidInputError
-from .quantizers import ADCTable, _fit_codebooks, build_adc_table, decode, encode_batch
+from .quantizers import (
+    ADCTable, _fit_codebooks, _kmeans_fit, build_adc_table, decode, encode_batch,
+)
 
 MODES = ("pq", "rq", "neq_kmeans", "fuzzy2_neq")
 
@@ -182,11 +178,11 @@ def train_index(
     else:
         points = dataset.items
 
-    def fit(sub_points: np.ndarray, seed: int) -> Codebook:
-        if mode == "fuzzy2_neq":
+    if mode == "fuzzy2_neq":
+        def fit(sub_points: np.ndarray, seed: int) -> Codebook:
             return fuse_codebooks(it2fpcm(sub_points, replace(params, seed=seed, c=k_star)), measure)
-        return kmeans(sub_points, k_star, replace(params, seed=seed)).centroids
-
+    else:
+        fit = _kmeans_fit(k_star, params)
     fitted = _fit_codebooks(points, m - m_prime, layout, fit, params.seed)
     dir_codebooks = tuple(Codebook(_f32_exact(cb.codewords)) for cb in fitted)
 

@@ -154,16 +154,28 @@ def decode(
     return out[0] if single else out
 
 
+#: Training fits stop once a Lloyd iteration lowers the inertia by at most
+#: this share of it (``kmeans``'s ``tol``); recall is flat from there on.
+TRAINING_TOL = 1e-4
+
+
+def _kmeans_fit(k_star: int, params: ClusteringParams):
+    """The ``fit`` that every k-means trainer hands to ``_fit_codebooks``:
+    ``k_star`` centroids at the fit's seed, stopped at ``TRAINING_TOL``."""
+
+    def fit(points: np.ndarray, seed: int) -> Codebook:
+        return kmeans(points, k_star, replace(params, seed=seed), tol=TRAINING_TOL).centroids
+
+    return fit
+
+
 def _train_kmeans(dataset: Dataset, count: int, layout: SubVectorLayout, k_star: int, params):
     """``count`` k-means codebooks by the sub-space rule and the codes of
     the training items, each its nearest codeword: the final k-means
     assignment."""
     if k_star > dataset.n:
         raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
-
-    def fit(points: np.ndarray, seed: int) -> Codebook:
-        return kmeans(points, k_star, replace(params, seed=seed)).centroids
-
+    fit = _kmeans_fit(k_star, params)
     codebooks = tuple(_fit_codebooks(dataset.items, count, layout, fit, params.seed))
     codes = encode_batch(dataset.items, codebooks, layout)
     return codebooks, CodeMatrix(codes, k_stars=(k_star,) * count)

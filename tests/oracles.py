@@ -52,6 +52,7 @@ from fneq.quantizers import (
     ADCTable,
     PQIndex,
     RQIndex,
+    TRAINING_TOL,
     _subseeds,
     decode,
     encode_batch,
@@ -275,10 +276,12 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
     return labels, d2[np.arange(points.shape[0]), labels]
 
 
-def lloyd_reference(points: np.ndarray, c: int, params) -> KMeansResult:
+def lloyd_reference(points: np.ndarray, c: int, params, tol: float = 0.0) -> KMeansResult:
     """Lloyd k-means as a per-cluster loop: every cell's masked mean and
     a full distance recomputation per iteration, on the points as given
-    (strided views included). Shares only the k-means++ seeding."""
+    (strided views included). Shares only the k-means++ seeding. Stops
+    when the labels repeat or, for ``tol > 0``, when the inertia falls
+    by at most ``tol`` times its new value, keeping the new labels."""
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     centroids = kmeans_plusplus(points, c, rng)
@@ -303,6 +306,9 @@ def lloyd_reference(points: np.ndarray, c: int, params) -> KMeansResult:
             converged = True
             break
         labels = new_labels
+        if tol > 0 and history[-2] - history[-1] <= tol * history[-1]:
+            converged = True
+            break
 
     return KMeansResult(
         centroids=Codebook(centroids),
@@ -497,11 +503,12 @@ def build_stage_table(q: np.ndarray, codebooks: tuple[Codebook, ...]) -> ADCTabl
 
 
 def train_pq_reference(dataset: Dataset, m_dir: int, k_star: int, params) -> PQIndex:
-    """Product quantization as one k-means per sub-space, one after
-    another; the codes are the final k-means assignments."""
+    """Product quantization as one k-means per sub-space at the training
+    tolerance, one after another; the codes are the final k-means
+    assignments."""
     layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
     results = [
-        kmeans(dataset.items[:, sl], k_star, replace(params, seed=seed))
+        kmeans(dataset.items[:, sl], k_star, replace(params, seed=seed), tol=TRAINING_TOL)
         for seed, sl in zip(_subseeds(params.seed, m_dir), layout.slices())
     ]
     return PQIndex(
@@ -515,13 +522,14 @@ def train_pq_reference(dataset: Dataset, m_dir: int, k_star: int, params) -> PQI
 
 def train_rq_reference(dataset: Dataset, stages: int, k_star: int, params) -> RQIndex:
     """Residual quantization as a stage loop: each stage clusters the
-    residual of the last, and the codes are the final k-means assignments."""
+    residual of the last at the training tolerance, and the codes are the
+    final k-means assignments."""
     seeds = _subseeds(params.seed, stages)
     residual = dataset.items
     codebooks = []
     codes = np.empty((dataset.n, stages), dtype=np.int64)
     for s in range(stages):
-        result = kmeans(residual, k_star, replace(params, seed=seeds[s]))
+        result = kmeans(residual, k_star, replace(params, seed=seeds[s]), tol=TRAINING_TOL)
         residual = residual - result.centroids.codewords[result.assignments]
         codebooks.append(result.centroids)
         codes[:, s] = result.assignments
@@ -557,7 +565,7 @@ def train_index_reference(
         for seed, sl in zip(_subseeds(params.seed, layout.m_dir), layout.slices()):
             sub_params = replace(params, seed=seed, c=k_star)
             if mode == "neq_kmeans":
-                cb = kmeans(directions[:, sl], k_star, sub_params).centroids
+                cb = kmeans(directions[:, sl], k_star, sub_params, tol=TRAINING_TOL).centroids
             else:
                 cb = fuse_codebooks(it2fpcm(directions[:, sl], sub_params), measure)
             dir_cbs.append(Codebook(_f32(cb.codewords)))

@@ -72,6 +72,23 @@ class TestKMeans:
             kmeans(np.ones((3, 2)), 4, ClusteringParams())
         with pytest.raises(InvalidInputError):
             kmeans(np.array([[np.nan, 1.0]]), 1, ClusteringParams())
+        for tol in (-1e-4, np.nan):
+            with pytest.raises(InvalidInputError, match="tol"):
+                kmeans(np.ones((3, 2)), 2, ClusteringParams(), tol=tol)
+
+    def test_tolerance_stop_keeps_nearest_labels(self):
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(2000, 2))
+        params = ClusteringParams(seed=1, max_iters=500)
+        exact = kmeans(points, 16, params)
+        early = kmeans(points, 16, params, tol=1e-2)
+        assert early.converged and exact.converged
+        assert early.n_iter < exact.n_iter
+        history = early.inertia_history
+        assert history[-2] - history[-1] <= 1e-2 * history[-1]
+        assert all(a - b > 1e-2 * b for a, b in zip(history[:-2], history[1:-1]))
+        nearest = squared_distances(points, early.centroids.codewords).argmin(axis=1)
+        np.testing.assert_array_equal(early.assignments, nearest)
 
 
 class TestClusteringParams:

@@ -129,12 +129,50 @@ def test_kmeans_equals_lloyd_reference_bit_for_bit(seed, n, d, values, layout, m
     c = data.draw(st.one_of(st.integers(1, min(n, 3)), st.integers(1, n)), label="c")
     points = lloyd_points(seed, n, d, distinct, values, layout)
     params = ClusteringParams(seed=seed, max_iters=max_iters)
-    got = kmeans(points, c, params)
-    want = lloyd_reference(points, c, params)
+    tol = draw_tol(data)
+    got = kmeans(points, c, params, tol=tol) if tol else kmeans(points, c, params)
+    want = lloyd_reference(points, c, params, tol)
     assert got.centroids.codewords.tobytes() == want.centroids.codewords.tobytes()
     np.testing.assert_array_equal(got.assignments, want.assignments)
     assert got.inertia_history == want.inertia_history
     assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
+
+
+def draw_tol(data) -> float:
+    """``kmeans``'s default ``tol = 0`` half the time, otherwise a
+    log-uniform tolerance in [1e-6, 1e-1]."""
+    if data.draw(st.booleans(), label="default tol"):
+        return 0.0
+    return 10.0 ** data.draw(st.floats(-6.0, -1.0), label="log10 tol")
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    d=st.integers(1, 6),
+    k=st.integers(-8, 8),
+    max_iters=st.integers(1, 50),
+    data=st.data(),
+)
+def test_kmeans_stop_does_not_depend_on_scale(seed, n, d, k, max_iters, data):
+    """Points times 2^k give the same labels, ``n_iter`` and ``converged``,
+    centroids times 2^k and inertias times 4^k, bit for bit: scaling by a
+    power of two is exact, so any scale-dependent stopping rule shows.
+    The points are at unit scale, where Lloyd's gains are neither all
+    above nor all below a tolerance that does not scale with them."""
+    distinct = data.draw(st.integers(1, n), label="distinct")
+    c = data.draw(st.integers(1, min(n, 32)), label="c")
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(distinct, d))[rng.integers(0, distinct, size=n)]
+    params = ClusteringParams(seed=seed, max_iters=max_iters)
+    tol = draw_tol(data)
+    base = kmeans(points, c, params, tol=tol)
+    scaled = kmeans(points * 2.0**k, c, params, tol=tol)
+    np.testing.assert_array_equal(scaled.assignments, base.assignments)
+    assert (scaled.n_iter, scaled.converged) == (base.n_iter, base.converged)
+    assert scaled.centroids.codewords.tobytes() == (base.centroids.codewords * 2.0**k).tobytes()
+    assert scaled.inertia_history == tuple(h * 4.0**k for h in base.inertia_history)
 
 
 @SETTINGS
@@ -366,12 +404,19 @@ def test_training_codes_equal_reencoded_codes(
     cap=st.integers(1, 3),
     measure=measures,
 )
+# Corpora on which some pq or rq fit stops at the training tolerance,
+# which these small corpora seldom reach.
+@example(seed=1510, parts=2, m_prime=1, k_star=2, zero_share=0.0, values="normal",
+         max_iters=20, cap=2, measure=None)
+@example(seed=1800, parts=2, m_prime=2, k_star=8, zero_share=0.0, values="normal",
+         max_iters=20, cap=1, measure=None)
 def test_trainers_equal_references_bit_for_bit(
     seed, parts, m_prime, k_star, zero_share, values, max_iters, cap, measure
 ):
     """``train_pq``/``train_rq`` give the references' codebooks and codes,
     and ``train_index`` saves the reference's bytes in every mode, at any
-    ``FNEQ_THREADS`` cap and when ``max_iters`` stops k-means early."""
+    ``FNEQ_THREADS`` cap and whether k-means stops at label stability,
+    at the training tolerance or at ``max_iters``."""
     dataset = training_items(seed, k_star, zero_share, values)
     params = ClusteringParams(seed=seed, max_iters=max_iters)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:

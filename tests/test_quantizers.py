@@ -1,10 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import fneq.quantizers
 from fneq.clustering import ClusteringParams, kmeans
 from fneq.core import Codebook, Dataset, SubVectorLayout
 from fneq.errors import CorruptionError, InvalidInputError
+from fneq.neq import train_index
 from fneq.quantizers import (
+    TRAINING_TOL,
     _subseeds,
     build_adc_table,
     decode,
@@ -130,7 +135,9 @@ class TestTrainRq:
         rng = np.random.default_rng(6)
         data = Dataset(rng.normal(size=(100, 5)))
         index = train_rq(data, stages=1, k_star=7, params=ClusteringParams(seed=3))
-        reference = kmeans(data.items, 7, ClusteringParams(seed=_subseeds(3, 1)[0]))
+        reference = kmeans(
+            data.items, 7, ClusteringParams(seed=_subseeds(3, 1)[0]), tol=TRAINING_TOL
+        )
         np.testing.assert_array_equal(
             index.codebooks[0].codewords, reference.centroids.codewords
         )
@@ -164,6 +171,28 @@ class TestTrainRq:
         rng = np.random.default_rng(9)
         with pytest.raises(InvalidInputError):
             train_rq(Dataset(rng.normal(size=(10, 4))), 0, 4, ClusteringParams())
+
+
+def test_every_training_fit_stops_at_the_training_tolerance(monkeypatch):
+    """``train_pq``, ``train_rq`` and ``train_index`` (pq, rq, neq_kmeans)
+    pass ``TRAINING_TOL`` to every k-means fit; ``kmeans`` itself
+    defaults to no tolerance, so a direct call stops at label stability."""
+    calls = []
+    original = fneq.quantizers.kmeans
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fneq.quantizers, "kmeans", spy)
+    data = Dataset(np.random.default_rng(10).normal(size=(200, 12)))
+    params = ClusteringParams(seed=6, max_iters=20)
+    train_pq(data, 3, 8, params)
+    train_rq(data, 2, 8, params)
+    for mode, m, m_prime in (("pq", 3, 0), ("rq", 2, 0), ("neq_kmeans", 4, 1)):
+        train_index(data, mode, m, m_prime, 8, params)
+    assert calls == [{"tol": TRAINING_TOL}] * (3 + 2 + 3 + 2 + 3)
+    assert inspect.signature(kmeans).parameters["tol"].default == 0.0
 
 
 class TestAdcTable:

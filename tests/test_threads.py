@@ -83,22 +83,22 @@ def failing_on(trainer, seeds):
     """``trainer`` that raises on sub-spaces 5 and 6 (picked by their
     seeds); sub-space 6 fails at once, sub-space 5 after a short wait."""
 
-    def fit(points, *args):
+    def fit(points, *args, **kwargs):
         params = args[-1]
         if params.seed == seeds[6]:
             raise InvalidInputError("sub-space 6 failed")
         if params.seed == seeds[5]:
             time.sleep(0.05)
             raise InvalidInputError("sub-space 5 failed")
-        return trainer(points, *args)
+        return trainer(points, *args, **kwargs)
 
     return fit
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("module,name,mode", [
-    (fneq.neq, "kmeans", "pq"),
-    (fneq.neq, "kmeans", "neq_kmeans"),
+    (fneq.quantizers, "kmeans", "pq"),
+    (fneq.quantizers, "kmeans", "neq_kmeans"),
     (fneq.neq, "it2fpcm", "fuzzy2_neq"),
 ])
 def test_first_failing_sub_space_raises_its_own_error(monkeypatch, cap, module, name, mode):
@@ -116,9 +116,9 @@ def test_fits_run_on_at_most_cap_pool_threads(monkeypatch, cap):
     seen = set()
     original = fneq.quantizers.kmeans
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         seen.add(threading.get_ident())
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(fneq.quantizers, "kmeans", recording)
     fneq.quantizers.train_pq(corpus(8, False), 8, 8, ClusteringParams(seed=1, max_iters=5))
