@@ -96,10 +96,12 @@ def failing_on(trainer, seeds):
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
+# Case ids name the ``train_index`` module, the fit and the mode; the
+# k-means fit is patched where it is looked up, in ``fneq.quantizers``.
 @pytest.mark.parametrize("module,name,mode", [
-    (fneq.quantizers, "kmeans", "pq"),
-    (fneq.quantizers, "kmeans", "neq_kmeans"),
-    (fneq.neq, "it2fpcm", "fuzzy2_neq"),
+    pytest.param(fneq.quantizers, "kmeans", "pq", id="fneq.neq-kmeans-pq"),
+    pytest.param(fneq.quantizers, "kmeans", "neq_kmeans", id="fneq.neq-kmeans-neq_kmeans"),
+    pytest.param(fneq.neq, "it2fpcm", "fuzzy2_neq", id="fneq.neq-it2fpcm-fuzzy2_neq"),
 ])
 def test_first_failing_sub_space_raises_its_own_error(monkeypatch, cap, module, name, mode):
     monkeypatch.setenv("FNEQ_THREADS", str(cap))
