@@ -1,8 +1,11 @@
 """Command-line surface: train, query, eval and tune.
 
-Exit codes: 0 success, 1 usage errors, 2 data errors (unreadable or
-malformed inputs, mismatched dimensions, corrupt index files), 3
-training failures.
+Exit codes: 0 success, 1 usage errors (bad flags, invalid parameters
+such as a seed outside [0, 2**64), checked before any input is read), 2
+data errors (unreadable or malformed inputs, mismatched dimensions,
+corrupt index files, failed writes), 3 training failures. A failure
+prints ``fneq <command>: <message>`` to stderr, with ``data error: `` or
+``training error: `` before the message for codes 2 and 3.
 
 ``FNEQ_THREADS`` caps the threads that fit the per-sub-space codebooks
 of pq, neq_kmeans and fuzzy2_neq; 0 or unset means the CPUs available.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,18 +49,28 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAIN = 3
+_LABELS = {EXIT_USAGE: "", EXIT_DATA: "data error: ", EXIT_TRAIN: "training error: "}
+#: What reading an input file or an index can raise.
+_READ_ERRORS = (OSError, InvalidInputError, CorruptionError)
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """Ends the command with exit ``code``; ``main`` prints the message."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-class _DataError(Exception):
-    pass
-
-
-class _TrainError(Exception):
-    pass
+@contextmanager
+def _exits(code: int, *errors: type[Exception], prefix: str = ""):
+    """Turn ``errors`` raised in one phase of a command (checking
+    parameters, loading, training or writing) into an ``_Exit`` with
+    ``code`` and the error's message after ``prefix``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, f"{prefix}{exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,49 +137,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(path: str, fmt: str):
-    try:
-        return io.load_matrix(path, fmt)
-    except (OSError, InvalidInputError) as exc:
-        raise _DataError(str(exc)) from exc
-
-
-def _load_dataset(path: str, fmt: str) -> Dataset:
-    items = _load_matrix(path, fmt)
-    try:
-        return Dataset(items)
-    except InvalidInputError as exc:
-        raise _DataError(str(exc)) from exc
-
-
 def _load_queries(path: str, fmt: str, dim: int) -> QuerySet:
-    queries = _load_matrix(path, fmt)
-    try:
-        query_set = QuerySet(queries if queries.size else np.empty((0, dim)))
-    except InvalidInputError as exc:
-        raise _DataError(str(exc)) from exc
+    queries = io.load_matrix(path, fmt)
+    query_set = QuerySet(queries if queries.size else np.empty((0, dim)))
     if query_set.count and query_set.dim != dim:
-        raise _DataError(f"queries have D={query_set.dim} but D={dim} is expected")
+        raise InvalidInputError(f"queries have D={query_set.dim} but D={dim} is expected")
     return query_set
 
 
 def _cmd_train(args) -> int:
-    dataset = _load_dataset(args.data, args.format)
-    params = ClusteringParams(
-        xi_lower=args.xi1,
-        xi_upper=args.xi2,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
-    try:
+    with _exits(EXIT_USAGE, InvalidInputError):
+        params = ClusteringParams(
+            xi_lower=args.xi1,
+            xi_upper=args.xi2,
+            epsilon=args.epsilon,
+            max_iters=args.max_iters,
+            seed=args.seed,
+        )
+    with _exits(EXIT_DATA, *_READ_ERRORS):
+        dataset = Dataset(io.load_matrix(args.data, args.format))
+    with _exits(EXIT_TRAIN, InvalidInputError):
         index = train_index(dataset, args.mode, args.m, args.m_prime, args.k_star, params)
-    except InvalidInputError as exc:
-        raise _TrainError(str(exc)) from exc
-    try:
+    with _exits(EXIT_DATA, OSError):
         save_index(args.out, index)
-    except OSError as exc:
-        raise _DataError(str(exc)) from exc
     layout = index.layout
     print(
         f"trained {index.mode}: D={index.metadata.D} D*={layout.D_star} n={index.n} "
@@ -175,15 +169,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    try:
+    with _exits(EXIT_DATA, *_READ_ERRORS):
         index = load_index(args.index)
-    except (OSError, CorruptionError) as exc:
-        raise _DataError(str(exc)) from exc
-    queries = _load_queries(args.queries, args.format, index.metadata.D).queries
+        queries = _load_queries(args.queries, args.format, index.metadata.D).queries
     if args.k < 1 or args.k > index.n:
-        raise _UsageError(f"--k must lie in [1, {index.n}]")
+        raise _Exit(EXIT_USAGE, f"--k must lie in [1, {index.n}]")
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    with _exits(EXIT_DATA, OSError):
+        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(("query_id", "rank", "item_id", "score"))
@@ -203,21 +196,17 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
+    with _exits(EXIT_DATA, *_READ_ERRORS):
         index = load_index(args.index)
-    except (OSError, CorruptionError) as exc:
-        raise _DataError(str(exc)) from exc
-    dataset = _load_dataset(args.data, args.format)
-    query_set = _load_queries(args.queries, args.format, dataset.dim)
+        dataset = Dataset(io.load_matrix(args.data, args.format))
+        query_set = _load_queries(args.queries, args.format, dataset.dim)
     if args.truth_depth < 1 or args.truth_depth > dataset.n:
-        raise _UsageError(f"--truth-depth must lie in [1, {dataset.n}]")
+        raise _Exit(EXIT_USAGE, f"--truth-depth must lie in [1, {dataset.n}]")
 
     counts = None
     if args.items_list:
-        try:
+        with _exits(EXIT_USAGE, ValueError, prefix="--items-list: "):
             counts = tuple(_checked_counts(args.items_list.split(","), args.truth_depth, dataset.n))
-        except (ValueError, InvalidInputError) as exc:
-            raise _UsageError(f"--items-list: {exc}") from exc
 
     md = index.metadata
     config = EvalConfig(
@@ -232,17 +221,13 @@ def _cmd_eval(args) -> int:
         item_counts=counts,
         dataset_label=args.dataset_label,
     )
-    try:
+    with _exits(EXIT_TRAIN, InvalidInputError):
         report = bootstrap_eval(config, iterations=args.iterations, seed=args.seed)
-    except InvalidInputError as exc:
-        raise _TrainError(str(exc)) from exc
     metrics_path = f"{args.out_prefix}_metrics.csv"
     curve_path = f"{args.out_prefix}_curve.csv"
-    try:
+    with _exits(EXIT_DATA, OSError):
         write_metrics_csv(metrics_path, [report])
         write_curve_csv(curve_path, report.curve)
-    except OSError as exc:
-        raise _DataError(str(exc)) from exc
     print(
         f"{report.method} on {report.dataset_label}: recall={report.recall_mean:.4f} "
         f"precision={report.precision_mean:.4f} f1={report.f1_mean:.4f} "
@@ -253,24 +238,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    dataset = _load_dataset(args.data, args.format)
-    try:
+    with _exits(EXIT_USAGE, InvalidInputError):
         config = GAConfig(
             population=args.population,
             bounds=(args.bounds[0], args.bounds[1]),
             seed=args.seed,
             generations=args.generations,
         )
-    except InvalidInputError as exc:
-        raise _UsageError(str(exc)) from exc
-    params = ClusteringParams(seed=args.seed)
-    if args.objective == "recall":
-        if not args.queries:
-            raise _UsageError("--objective recall requires --queries")
-        query_set = _load_queries(args.queries, args.format, dataset.dim)
-        if not query_set.count:
-            raise _DataError("the recall objective needs at least one query")
-    try:
+        params = ClusteringParams(seed=args.seed)
+    if args.objective == "recall" and not args.queries:
+        raise _Exit(EXIT_USAGE, "--objective recall requires --queries")
+    with _exits(EXIT_DATA, *_READ_ERRORS):
+        dataset = Dataset(io.load_matrix(args.data, args.format))
+        if args.objective == "recall":
+            query_set = _load_queries(args.queries, args.format, dataset.dim)
+            if not query_set.count:
+                raise InvalidInputError("the recall objective needs at least one query")
+    with _exits(EXIT_TRAIN, InvalidInputError):
         if args.objective == "mse":
             objective = make_quantization_mse_objective(dataset.items, args.k_star, params)
         else:
@@ -284,12 +268,8 @@ def _cmd_tune(args) -> int:
             )
         result = ga_optimize(objective, config)
         grid = xi_grid(objective, config.bounds, steps=args.grid_steps)
-    except InvalidInputError as exc:
-        raise _TrainError(str(exc)) from exc
-    try:
+    with _exits(EXIT_DATA, OSError):
         write_grid_csv(args.out_grid, grid)
-    except OSError as exc:
-        raise _DataError(str(exc)) from exc
     print(f"best xi1={result.xi1:.4f} xi2={result.xi2:.4f} cost={result.cost:.6g}")
     print(f"wrote {args.out_grid}")
     return EXIT_OK
@@ -303,30 +283,16 @@ _COMMANDS = {
 }
 
 
-def _check_thread_env() -> None:
-    """Reject a malformed ``FNEQ_THREADS`` before any input is read;
-    training would otherwise fail on it only after loading the data."""
-    try:
-        thread_cap()
-    except InvalidInputError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_env()
+        with _exits(EXIT_USAGE, InvalidInputError):
+            thread_cap()  # a malformed FNEQ_THREADS fails before any input is read
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"fneq {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DataError as exc:
-        print(f"fneq {args.command}: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _TrainError as exc:
-        print(f"fneq {args.command}: training error: {exc}", file=sys.stderr)
-        return EXIT_TRAIN
+    except _Exit as exc:
+        print(f"fneq {args.command}: {_LABELS[exc.code]}{exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ layout (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -40,8 +40,8 @@ class ClusteringParams:
 
     The fuzziness interval defaults to [8.5, 9.1]; the possibility
     interval mirrors it unless set explicitly. ``epsilon`` bounds the
-    objective improvement at termination and ``seed`` fixes the
-    k-means++ initialization.
+    objective improvement at termination and ``seed``, in [0, 2**64),
+    fixes the k-means++ initialization.
     """
 
     c: int = 8
@@ -68,9 +68,8 @@ class ClusteringParams:
             raise InvalidInputError("epsilon must be positive")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
-
-    def with_c(self, c: int) -> "ClusteringParams":
-        return replace(self, c=c)
+        if not 0 <= self.seed < 2**64:
+            raise InvalidInputError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ sub-space, where the shared kernels sum them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class IndexMetadata:
     m_prime: int
     k_star: int
     seed: int
-    params: ClusteringParams | None = None
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,8 @@ class IndexArtifact:
 
     Immutable after construction; concurrent queries may share it freely.
     Codebook values are rounded to float32 so that persistence is exact.
+    Construction enforces every rule of a valid index: an artifact whose
+    codebooks all hold ``k_star`` codewords saves and loads back equal.
     """
 
     mode: str
@@ -87,25 +88,29 @@ class IndexArtifact:
     dir_codebooks: tuple[Codebook, ...]
     codes: CodeMatrix
     metadata: IndexMetadata
-    measure: FuzzyMeasure | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         md = self.metadata
+        if not 0 <= md.seed < 2**64:
+            raise InvalidInputError("seed must lie in [0, 2**64)")
         if md.m_prime != len(self.norm_codebooks):
             raise InvalidInputError("m_prime disagrees with the norm codebook count")
         if md.m != len(self.norm_codebooks) + len(self.dir_codebooks):
             raise InvalidInputError("m disagrees with the total codebook count")
-        if self.mode in ("neq_kmeans", "fuzzy2_neq") and md.m_prime < 1:
-            raise InvalidInputError("norm-explicit modes need at least one norm codebook")
+        if (md.m_prime > 0) != (self.mode in ("neq_kmeans", "fuzzy2_neq")):
+            raise InvalidInputError("norm-explicit modes, and only they, have norm codebooks")
         if self.codes.m != md.m:
             raise InvalidInputError("code matrix width disagrees with m")
         if self.codes.n != md.n:
             raise InvalidInputError(f"metadata n={md.n} disagrees with {self.codes.n} coded items")
+        sizes = tuple(cb.k_star for cb in (*self.norm_codebooks, *self.dir_codebooks))
+        if self.codes.k_stars != sizes:
+            raise InvalidInputError(f"code bounds {self.codes.k_stars} are not the codebook sizes")
         norm_cbs = tuple(
-            NormCodebook(_f32_exact(cb.values), signed=cb.signed)
-            for cb in self.norm_codebooks
+            NormCodebook(_f32_exact(cb.values), signed=s > 0)
+            for s, cb in enumerate(self.norm_codebooks)
         )
         dir_cbs = tuple(Codebook(_f32_exact(cb.codewords)) for cb in self.dir_codebooks)
         layout = self.layout
@@ -113,10 +118,9 @@ class IndexArtifact:
             raise InvalidInputError(f"layout D={layout.D} disagrees with metadata D={md.D}")
         if any(cb.dim != layout.D_star for cb in self.dir_codebooks):
             raise InvalidInputError(f"direction codebooks must have width D_star={layout.D_star}")
-        if self.mode == "rq":
-            if layout.m_dir != 1:
-                raise InvalidInputError("rq stages need a layout with m_dir=1")
-        elif len(self.dir_codebooks) != layout.m_dir:
+        if self.mode == "rq" and (layout.m_dir != 1 or not self.dir_codebooks):
+            raise InvalidInputError("rq needs at least one stage, on a layout with m_dir=1")
+        if self.mode != "rq" and len(self.dir_codebooks) != layout.m_dir:
             raise InvalidInputError(f"expected one direction codebook per sub-space ({layout.m_dir})")
         object.__setattr__(self, "norm_codebooks", norm_cbs)
         object.__setattr__(self, "dir_codebooks", dir_cbs)
@@ -201,7 +205,7 @@ def train_index(
     norm_codebooks, codes = _encode(dataset.items, layout, dir_codebooks, m_prime, fit_stage)
     md = IndexMetadata(
         D=dataset.dim, n=dataset.n, m=m, m_prime=m_prime,
-        k_star=k_star, seed=params.seed, params=params,
+        k_star=k_star, seed=params.seed,
     )
     return IndexArtifact(
         mode=mode,
@@ -210,7 +214,6 @@ def train_index(
         dir_codebooks=dir_codebooks,
         codes=CodeMatrix(codes, k_stars=(k_star,) * m),
         metadata=md,
-        measure=measure,
     )
 
 

@@ -52,7 +52,7 @@ def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
         md.m,
         md.m_prime,
         md.k_star,
-        md.seed & (2**64 - 1),
+        md.seed,
         b"\x00" * 16,
     )
     chunks = [header]
@@ -83,7 +83,7 @@ def _take(buf: memoryview, offset: int, size: int, what: str) -> tuple[memoryvie
 
 
 def load_index(path: str | os.PathLike) -> IndexArtifact:
-    """Read an index file back; every structural invariant is re-checked."""
+    """Read an index file back; a rule ``IndexArtifact`` rejects is corruption."""
     with open(path, "rb") as fh:
         raw = memoryview(fh.read())
     if len(raw) < _HEADER.size:
@@ -102,9 +102,6 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
         raise CorruptionError("reserved header bytes must be zero")
 
     n_dir = m - m_prime
-    if n_dir < 1 or (mode in ("pq", "rq") and m_prime != 0):
-        raise CorruptionError("header codebook split is inconsistent with the mode")
-
     offset = _HEADER.size
     try:
         layout = _mode_layout(mode, D, n_dir)
@@ -127,9 +124,7 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
             raise CorruptionError(f"{len(raw) - offset} trailing bytes after the payload")
         codes = CodeMatrix(np.frombuffer(chunk, dtype=width).reshape(m, n).T, k_stars=(k_star,) * m)
 
-        metadata = IndexMetadata(
-            D=D, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed, params=None
-        )
+        metadata = IndexMetadata(D=D, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed)
         return IndexArtifact(
             mode=mode,
             layout=layout,

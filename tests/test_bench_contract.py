@@ -1,9 +1,11 @@
-"""The traced benchmark run rebinds the ``fneq`` functions that
-``bench/layers.py`` names. Installing those bindings here makes a removed
-or renamed traced function fail the test suite, not only ``--trace 1``
-benchmark runs."""
+"""The benchmark under ``bench/`` reads ``fneq`` names: the traced run
+rebinds the functions that ``bench/layers.py`` names, and every run calls
+others directly. Checking those names here makes a removed or renamed
+one fail the test suite, not only benchmark runs."""
 
+import functools
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -48,3 +50,19 @@ def test_layers_install_and_uninstall_cleanly():
     assert all(after[key] is value for key, value in before.items())
     for cls, original in inits.items():
         assert cls.__dict__["__post_init__"] is original
+
+
+def test_every_fneq_name_the_benchmark_reads_resolves():
+    chains = {
+        chain
+        for path in BENCH.glob("*.py")
+        for chain in re.findall(r"\bfneq(?:\.[A-Za-z_]\w*)+", path.read_text())
+    }
+    assert len(chains) >= 30, "the pattern no longer finds the benchmark's fneq names"
+    missing = []
+    for chain in sorted(chains):
+        try:
+            functools.reduce(getattr, chain.split(".")[1:], fneq)
+        except AttributeError:
+            missing.append(chain)
+    assert not missing, f"bench/ reads names fneq no longer has: {missing}"

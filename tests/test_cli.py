@@ -278,3 +278,79 @@ class TestTune:
         assert "data error" in capsys.readouterr().err
         assert run(["train", "--data", tmp_path / "empty.csv", "--mode", "pq", "--m", 1,
                     "--k-star", 2, "--out", tmp_path / "idx.fneq"]) == 2
+
+
+class TestExitCodes:
+    """Exit code and stderr prefix of each failure site that no other
+    test reaches. ``{tmp}`` is the workspace; ``idx.fneq`` there is a
+    trained pq index and ``missing/`` does not exist."""
+
+    TRAIN = ["train", "--data", "{tmp}/items.csv", "--mode", "pq", "--m", 3, "--k-star", 8]
+    TUNE = ["tune", "--data", "{tmp}/items.csv", "--k-star", 3, "--population", 2,
+            "--generations", 1, "--grid-steps", 2]
+    EVAL = ["eval", "--index", "{tmp}/idx.fneq", "--data", "{tmp}/items.csv",
+            "--queries", "{tmp}/queries.csv", "--iterations", 1]
+    # Invalid training parameters are rejected before the (missing) data is read.
+    NO_DATA_TRAIN = ["train", "--data", "{tmp}/missing.csv", "--mode", "pq", "--m", 3,
+                     "--k-star", 8, "--out", "{tmp}/new.fneq"]
+    NO_DATA_TUNE = ["tune", "--data", "{tmp}/missing.csv", "--out-grid", "{tmp}/grid.csv"]
+
+    CASES = {
+        "train-out-in-missing-dir": (
+            TRAIN + ["--out", "{tmp}/missing/idx.fneq"], 2, "fneq train: data error: "),
+        "query-k-0": (
+            ["query", "--index", "{tmp}/idx.fneq", "--queries", "{tmp}/queries.csv", "--k", 0],
+            1, "fneq query: --k must lie in [1, 100]"),
+        "query-out-in-missing-dir": (
+            ["query", "--index", "{tmp}/idx.fneq", "--queries", "{tmp}/queries.csv",
+             "--out", "{tmp}/missing/out.csv"], 2, "fneq query: data error: "),
+        "eval-truth-depth-0": (
+            EVAL + ["--truth-depth", 0, "--out-prefix", "{tmp}/r"],
+            1, "fneq eval: --truth-depth must lie in [1, 100]"),
+        "eval-items-list-not-a-number": (
+            EVAL + ["--items-list", "20,lots", "--out-prefix", "{tmp}/r"],
+            1, "fneq eval: --items-list: invalid literal"),
+        "eval-out-prefix-in-missing-dir": (
+            EVAL + ["--truth-depth", 5, "--out-prefix", "{tmp}/missing/r"],
+            2, "fneq eval: data error: "),
+        "tune-bounds-below-1": (
+            TUNE + ["--bounds", 0.5, 2, "--out-grid", "{tmp}/grid.csv"],
+            1, "fneq tune: fuzziness genes must stay above 1"),
+        "tune-recall-without-queries": (
+            TUNE + ["--objective", "recall", "--out-grid", "{tmp}/grid.csv"],
+            1, "fneq tune: --objective recall requires --queries"),
+        "tune-k-star-above-training-split": (
+            ["tune", "--data", "{tmp}/items.csv", "--k-star", 76, "--out-grid", "{tmp}/grid.csv"],
+            3, "fneq tune: training error: not enough training points"),
+        "tune-out-grid-in-missing-dir": (
+            TUNE + ["--out-grid", "{tmp}/missing/grid.csv"], 2, "fneq tune: data error: "),
+        "train-xi1-0.5": (
+            NO_DATA_TRAIN + ["--xi1", 0.5], 1,
+            "fneq train: fuzziness interval must satisfy 1 < xi1 <= xi2"),
+        "train-epsilon-0": (
+            NO_DATA_TRAIN + ["--epsilon", 0], 1, "fneq train: epsilon must be positive"),
+        "train-max-iters-0": (
+            NO_DATA_TRAIN + ["--max-iters", 0], 1, "fneq train: max_iters must be at least 1"),
+        "train-seed-negative": (
+            NO_DATA_TRAIN + ["--seed", -1], 1, "fneq train: seed must lie in [0, 2**64)"),
+        "train-seed-2**64+5": (
+            NO_DATA_TRAIN + ["--seed", 2**64 + 5], 1, "fneq train: seed must lie in [0, 2**64)"),
+        "tune-seed-negative": (
+            NO_DATA_TUNE + ["--seed", -1], 1, "fneq tune: seed must lie in [0, 2**64)"),
+    }
+
+    @pytest.mark.parametrize("argv,code,prefix", CASES.values(), ids=CASES.keys())
+    def test_failure_exit_code_and_message(self, workspace, capsys, argv, code, prefix):
+        tmp, _, _ = workspace
+
+        def fill(args):
+            return [a.format(tmp=tmp) if isinstance(a, str) else a for a in args]
+
+        assert run(fill(self.TRAIN + ["--out", "{tmp}/idx.fneq"])) == 0
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        assert run(fill(argv)) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+        assert sorted(tmp.iterdir()) == before

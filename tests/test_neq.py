@@ -41,7 +41,7 @@ def exact_neq_dataset(seed=0):
     return Dataset(rows)
 
 
-def tiny_artifact(norm_values, dir_codewords, codes, signed=False):
+def tiny_artifact(norm_values, dir_codewords, codes):
     """Hand-built single-norm-codebook artifact over one direction part."""
     dir_cb = Codebook(dir_codewords)
     layout = SubVectorLayout(D=dir_cb.dim, m_dir=1)
@@ -50,7 +50,7 @@ def tiny_artifact(norm_values, dir_codewords, codes, signed=False):
     return IndexArtifact(
         mode="neq_kmeans",
         layout=layout,
-        norm_codebooks=(NormCodebook(norm_values, signed=signed),),
+        norm_codebooks=(NormCodebook(norm_values),),
         dir_codebooks=(dir_cb,),
         codes=CodeMatrix(codes, k_stars=(len(norm_values), dir_cb.k_star)),
         metadata=IndexMetadata(
@@ -230,11 +230,26 @@ class TestIndexArtifact:
             ("fuzzy2_neq", 4, 2, (2, 4), 1),
             ("rq", 4, 2, (2, 2), 0),
             ("rq", 4, 1, (4, 2), 0),
+            ("rq", 4, 1, (), 0),  # no stage
+            ("pq", 4, 2, (2, 2), 1),  # norm codebooks belong to the NEQ modes
+            ("rq", 4, 1, (4,), 1),
         ],
     )
     def test_direction_codebooks_must_follow_the_layout(self, mode, D, m_dir, widths, m_prime):
         with pytest.raises(InvalidInputError):
             layout_artifact(mode, D, m_dir, widths, m_prime)
+
+    def test_norm_stages_and_code_bounds_must_load_back(self):
+        index = layout_artifact("neq_kmeans", 4, 2, (2, 2), m_prime=1)
+        # Stage 0 is re-wrapped unsigned, as ``load_index`` reads it.
+        with pytest.raises(InvalidInputError, match="unsigned"):
+            replace(index, norm_codebooks=(NormCodebook([-1.0, 1.0], signed=True),))
+        # A bound above the codebook's size would let the scan read the
+        # ADC table's padding.
+        codes = np.zeros((3, 3), dtype=np.int64)
+        codes[0, 1] = 10
+        with pytest.raises(InvalidInputError, match="codebook sizes"):
+            replace(index, codes=CodeMatrix(codes, k_stars=(2, 16, 2)))
 
     def test_layout_must_span_metadata_D(self):
         index = layout_artifact("pq", 4, 2, (2, 2))

@@ -6,7 +6,7 @@ import fneq.persist
 from dataclasses import replace
 
 from fneq.clustering import ClusteringParams
-from fneq.core import Codebook, Dataset, NormCodebook
+from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook
 from fneq.errors import CorruptionError, InvalidInputError
 from fneq.neq import scan_scores, select_top_k, train_index
 from fneq.persist import MAGIC, load_index, save_index
@@ -30,9 +30,7 @@ class TestRoundTrip:
         save_index(path, index)
         loaded = load_index(path)
         assert loaded.mode == index.mode
-        assert loaded.metadata == index.metadata.__class__(
-            **{**index.metadata.__dict__, "params": None}
-        )
+        assert loaded.metadata == index.metadata
         np.testing.assert_array_equal(loaded.codes.codes, index.codes.codes)
         for a, b in zip(loaded.dir_codebooks, index.dir_codebooks):
             np.testing.assert_array_equal(a.codewords, b.codewords)
@@ -107,12 +105,15 @@ class TestAtomicSave:
     @pytest.mark.parametrize("part", ["norm", "dir"])
     def test_codebook_off_k_star_is_rejected_before_writing(self, tmp_path, part):
         index = trained("neq_kmeans", 3, 1, seed=14)
+        norm_cbs, dir_cbs = index.norm_codebooks, index.dir_codebooks
         if part == "norm":
-            short = NormCodebook(index.norm_codebooks[0].values[:-1])
-            index = replace(index, norm_codebooks=(short,))
+            norm_cbs = (NormCodebook(norm_cbs[0].values[:-1]),)
         else:
-            short = Codebook(index.dir_codebooks[1].codewords[:-1])
-            index = replace(index, dir_codebooks=(index.dir_codebooks[0], short))
+            dir_cbs = (dir_cbs[0], Codebook(dir_cbs[1].codewords[:-1]))
+        # The code bounds match the codebooks, so the artifact is valid.
+        sizes = [cb.k_star for cb in (*norm_cbs, *dir_cbs)]
+        codes = CodeMatrix(np.minimum(index.codes.codes, 6), k_stars=sizes)
+        index = replace(index, norm_codebooks=norm_cbs, dir_codebooks=dir_cbs, codes=codes)
         with pytest.raises(InvalidInputError, match="k_star=8"):
             save_index(tmp_path / "index.fneq", index)
         assert list(tmp_path.iterdir()) == []
@@ -189,6 +190,18 @@ class TestCorruption:
         path = self.make_file(tmp_path)
         raw = bytearray(path.read_bytes())
         raw[7:11] = D.to_bytes(4, "little")  # two direction codebooks
+        path.write_bytes(raw)
+        with pytest.raises(CorruptionError):
+            load_index(path)
+
+    # Mode codes 0=pq, 1=rq, 2=neq_kmeans: norm codebooks outside NEQ,
+    # none in NEQ, no direction codebook, m_prime above m.
+    @pytest.mark.parametrize("mode,m_prime", [(2, 0), (2, 3), (2, 4), (0, 1), (1, 1), (1, 3)])
+    def test_header_codebook_split_against_the_mode(self, tmp_path, mode, m_prime):
+        path = self.make_file(tmp_path)  # neq_kmeans, m=3, m_prime=1
+        raw = bytearray(path.read_bytes())
+        raw[6] = mode
+        raw[19:23] = m_prime.to_bytes(4, "little")
         path.write_bytes(raw)
         with pytest.raises(CorruptionError):
             load_index(path)

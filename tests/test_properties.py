@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fneq.aggregation import FuzzyMeasure, fuse_codebooks
@@ -520,6 +520,100 @@ def test_roundtrip_codes_are_frozen_columns_with_equal_scans(seed, n, m_prime, k
         np.testing.assert_array_equal(
             scan_scores(q, loaded, limit=limit), scan_scores(q, index, limit=limit)
         )
+
+
+#: Each rule an artifact can break is broken with probability 1/4.
+rule_broken = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def artifact_parts(draw):
+    """Parts of an artifact in any mode, with flags for the rules they
+    break: norm codebooks outside the NEQ modes (``split``), no direction
+    codebook, a codebook off ``k_star`` (``short``), a code bound above
+    its codebook's size (``wide``), a negative stage-0 norm codeword and
+    a seed outside [0, 2**64)."""
+    mode = draw(st.sampled_from(MODES))
+    split, no_dir, short, wide, negative, bad_seed = (draw(rule_broken) for _ in range(6))
+    has_norms = (mode in ("neq_kmeans", "fuzzy2_neq")) != split
+    return dict(
+        mode=mode,
+        m_prime=draw(st.integers(1, 2)) if has_norms else 0,
+        n_dir=0 if no_dir else draw(st.integers(1, 3)),
+        d_star=draw(st.integers(1, 3)),
+        k_star=draw(st.sampled_from([2, 3, 257])),
+        n=draw(st.integers(1, 5)),
+        short=short,
+        wide=wide,
+        negative=negative,
+        seed=draw(st.sampled_from([-1, 2**64, 2**64 + 5]) if bad_seed else st.integers(0, 2**64 - 1)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    ), not (split or no_dir or short or wide or bad_seed or (negative and has_norms))
+
+
+def build_artifact(mode, m_prime, n_dir, d_star, k_star, n, short, wide, negative, seed, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    m = m_prime + n_dir
+    sizes = [k_star] * m
+    if short and m:
+        sizes[-1] -= 1
+    norm_cbs = []
+    for s in range(m_prime):
+        values = np.sort(rng.uniform(0.0 if s == 0 else -1.0, 3.0, sizes[s]))
+        if s == 0 and negative:
+            values[0] = -1.0
+        norm_cbs.append(NormCodebook(values, signed=s > 0 or negative))
+    dir_cbs = tuple(Codebook(rng.normal(size=(k, d_star))) for k in sizes[m_prime:])
+    codes = rng.integers(0, sizes, size=(n, m))
+    bounds = list(sizes)
+    if wide and m:
+        bounds[0] += 5
+        codes[0, 0] = bounds[0] - 1
+    m_dir = 1 if mode == "rq" else max(n_dir, 1)
+    return IndexArtifact(
+        mode=mode,
+        layout=SubVectorLayout(D=m_dir * d_star, m_dir=m_dir),
+        norm_codebooks=tuple(norm_cbs),
+        dir_codebooks=dir_cbs,
+        codes=CodeMatrix(codes, k_stars=bounds),
+        metadata=IndexMetadata(D=m_dir * d_star, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed),
+    )
+
+
+def broken_artifact(**changes):
+    """Parts of a valid neq_kmeans artifact with ``changes`` that break it."""
+    parts = dict(mode="neq_kmeans", m_prime=1, n_dir=2, d_star=2, k_star=3, n=4,
+                 short=False, wide=False, negative=False, seed=0, rng_seed=0)
+    return {**parts, **changes}, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=artifact_parts())
+@example(case=broken_artifact(mode="pq"))
+@example(case=broken_artifact(mode="rq", m_prime=0, n_dir=0))
+@example(case=broken_artifact(negative=True))
+@example(case=broken_artifact(seed=2**64 + 5))
+def test_save_accepts_exactly_the_artifacts_that_load_back_equal(case):
+    parts, valid = case
+    event(f"valid={valid}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.fneq"
+        if not valid:
+            with pytest.raises(InvalidInputError):
+                save_index(path, build_artifact(**parts))
+            assert list(Path(tmp).iterdir()) == []
+            return
+        index = build_artifact(**parts)
+        save_index(path, index)
+        loaded = load_index(path)
+    assert (loaded.mode, loaded.layout, loaded.metadata) == (index.mode, index.layout, index.metadata)
+    assert loaded.codes.k_stars == index.codes.k_stars
+    assert loaded.codes.codes.dtype == index.codes.codes.dtype
+    assert loaded.codes.codes.tobytes() == index.codes.codes.tobytes()
+    for a, b in zip(loaded.norm_codebooks, index.norm_codebooks, strict=True):
+        assert (a.values.tobytes(), a.signed) == (b.values.tobytes(), b.signed)
+    for a, b in zip(loaded.dir_codebooks, index.dir_codebooks, strict=True):
+        assert a.codewords.tobytes() == b.codewords.tobytes()
 
 
 @settings(max_examples=500, deadline=None)
