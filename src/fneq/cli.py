@@ -24,7 +24,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import io
-from .clustering import ClusteringParams
+from .clustering import ClusteringParams, _check_seed
 from .core import Dataset, QuerySet, thread_cap
 from .errors import CorruptionError, InvalidInputError
 from .evaluate import (
@@ -196,6 +196,10 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    with _exits(EXIT_USAGE, InvalidInputError):
+        _check_seed(args.seed)
+    if args.iterations < 1:
+        raise _Exit(EXIT_USAGE, "--iterations must be at least 1")
     with _exits(EXIT_DATA, *_READ_ERRORS):
         index = load_index(args.index)
         dataset = Dataset(io.load_matrix(args.data, args.format))
@@ -248,6 +252,8 @@ def _cmd_tune(args) -> int:
         params = ClusteringParams(seed=args.seed)
     if args.objective == "recall" and not args.queries:
         raise _Exit(EXIT_USAGE, "--objective recall requires --queries")
+    if args.grid_steps < 2:
+        raise _Exit(EXIT_USAGE, "--grid-steps must be at least 2")
     with _exits(EXIT_DATA, *_READ_ERRORS):
         dataset = Dataset(io.load_matrix(args.data, args.format))
         if args.objective == "recall":

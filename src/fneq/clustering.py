@@ -34,6 +34,11 @@ from .core import Codebook, NormCodebook, _frozen
 from .errors import InvalidInputError
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise InvalidInputError("seed must lie in [0, 2**64)")
+
+
 @dataclass(frozen=True)
 class ClusteringParams:
     """Shared knobs for the clustering trainers.
@@ -68,8 +73,7 @@ class ClusteringParams:
             raise InvalidInputError("epsilon must be positive")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidInputError("seed must lie in [0, 2**64)")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import FuzzyMeasure
-from .clustering import ClusteringParams
+from .clustering import ClusteringParams, _check_seed
 from .core import Dataset, QuerySet, _frozen
 from .core import thread_cap  # noqa: F401  (kept here: bench/run.py records it)
 from .errors import InvalidInputError
@@ -213,6 +213,7 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
     """
     if iterations < 1:
         raise InvalidInputError("iterations must be at least 1")
+    _check_seed(seed)
     dataset, queries = config.dataset, config.queries
     t, k = config.truth_depth, config.k
     if t > dataset.n:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import FuzzyMeasure, fuse_codebooks
-from .clustering import ClusteringParams, encode_scalar, it2fpcm, kmeans_scalar
+from .clustering import ClusteringParams, _check_seed, encode_scalar, it2fpcm, kmeans_scalar
 from .core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms
 from .errors import CorruptionError, InvalidInputError
 from .quantizers import (
@@ -93,8 +93,7 @@ class IndexArtifact:
         if self.mode not in MODES:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         md = self.metadata
-        if not 0 <= md.seed < 2**64:
-            raise InvalidInputError("seed must lie in [0, 2**64)")
+        _check_seed(md.seed)
         if md.m_prime != len(self.norm_codebooks):
             raise InvalidInputError("m_prime disagrees with the norm codebook count")
         if md.m != len(self.norm_codebooks) + len(self.dir_codebooks):
@@ -143,10 +142,12 @@ def _f32_exact(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
-def _mode_layout(mode: str, D: int, n_dir: int) -> SubVectorLayout:
+def _mode_layout(mode: str, D: int, m: int, m_prime: int) -> SubVectorLayout:
     """``rq`` stacks its stages on ``m_dir = 1``; every other mode has one
-    direction codebook per sub-space."""
-    return SubVectorLayout(D=D, m_dir=1 if mode == "rq" else n_dir)
+    direction codebook per sub-space. Every mode needs a direction codebook."""
+    if m_prime >= m:
+        raise InvalidInputError(f"m={m} must exceed m_prime={m_prime}")
+    return SubVectorLayout(D=D, m_dir=1 if mode == "rq" else m - m_prime)
 
 
 def train_index(
@@ -174,9 +175,7 @@ def train_index(
         raise InvalidInputError("m_prime must be at least 1")
     elif k_star < 2:
         raise InvalidInputError("k_star must be at least 2")
-    if m_prime >= m:
-        raise InvalidInputError(f"m={m} must exceed m_prime={m_prime}")
-    layout = _mode_layout(mode, dataset.dim, m - m_prime)
+    layout = _mode_layout(mode, dataset.dim, m, m_prime)
     if m_prime:
         norms, nonzero, points = _unit_directions(dataset.items)
     else:
@@ -329,7 +328,7 @@ def estimate_inner_product(
 
     Accumulates the norm codewords, then one table lookup per direction
     codebook, and multiplies the two sums: exactly ``m_prime`` scalar
-    adds, ``m - m_prime`` lookups and one multiply per item.
+    adds, ``m - m_prime`` lookups and, with norm codebooks, one multiply.
     """
     codes = _check_codes_row(item_codes, index)
     if adc is None:
@@ -346,6 +345,8 @@ def estimate_inner_product(
         r_total += float(tables[j, code])
         if op_counter is not None:
             op_counter.lookups += 1
+    if index.m_prime == 0:
+        return r_total
     if op_counter is not None:
         op_counter.multiplies += 1
     return l_total * r_total

@@ -17,16 +17,19 @@ Payload, in order: ``m_prime`` norm codebooks (k_star f32 each), then
 the vector codebooks (k_star x D_star f32, row-major; D_star is D for
 rq, otherwise D / (m - m_prime)), then the code matrix column-major
 (u8 when k_star <= 256, else u16), the in-memory layout of ``CodeMatrix``.
+The header fixes the payload size; the loader checks it once, up front.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
-from .core import Codebook, CodeMatrix, NormCodebook, code_dtype
+from .core import Codebook, CodeMatrix, NormCodebook, SubVectorLayout, code_dtype
 from .errors import CorruptionError, InvalidInputError
 from .neq import IndexArtifact, IndexMetadata, _mode_layout
 
@@ -55,13 +58,12 @@ def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
         md.seed,
         b"\x00" * 16,
     )
+    norms = [cb.values for cb in index.norm_codebooks]
+    dirs = [cb.codewords for cb in index.dir_codebooks]
+    blocks = _blocks(index.layout, md.n, md.m, md.m_prime, md.k_star)
     chunks = [header]
-    for cb in index.norm_codebooks:
-        chunks.append(cb.values.astype("<f4").tobytes())
-    for cb in index.dir_codebooks:
-        chunks.append(np.ascontiguousarray(cb.codewords, dtype="<f4").tobytes())
-    width = _code_dtype_le(md.k_star)
-    chunks.append(np.ascontiguousarray(index.codes.codes.T, dtype=width).tobytes())
+    for a, (dtype, shape) in zip((norms, dirs, index.codes.codes.T), blocks):
+        chunks.append(np.asarray(a, dtype=dtype).reshape(shape).tobytes())
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
@@ -72,25 +74,20 @@ def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
             os.unlink(tmp)
 
 
-def _code_dtype_le(k_star: int) -> str:
-    return "<u1" if code_dtype(k_star) is np.uint8 else "<u2"
-
-
-def _take(buf: memoryview, offset: int, size: int, what: str) -> tuple[memoryview, int]:
-    if offset + size > len(buf):
-        raise CorruptionError(f"index file truncated while reading {what}")
-    return buf[offset : offset + size], offset + size
+def _blocks(layout: SubVectorLayout, n: int, m: int, m_prime: int, k_star: int) -> list[tuple]:
+    """Dtype and shape of each payload block, in file order."""
+    width = "<u1" if code_dtype(k_star) is np.uint8 else "<u2"
+    dirs = (m - m_prime, k_star, layout.D_star)
+    return [("<f4", (m_prime, k_star)), ("<f4", dirs), (width, (m, n))]
 
 
 def load_index(path: str | os.PathLike) -> IndexArtifact:
     """Read an index file back; a rule ``IndexArtifact`` rejects is corruption."""
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
+        raw = fh.read()
     if len(raw) < _HEADER.size:
         raise CorruptionError("index file shorter than the header")
-    magic, version, mode_code, D, n, m, m_prime, k_star, seed, reserved = _HEADER.unpack(
-        raw[: _HEADER.size]
-    )
+    magic, version, mode_code, D, n, m, m_prime, k_star, seed, reserved = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise CorruptionError(f"bad magic {magic!r}; not an index file")
     if version != VERSION:
@@ -101,37 +98,27 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
     if reserved != b"\x00" * 16:
         raise CorruptionError("reserved header bytes must be zero")
 
-    n_dir = m - m_prime
-    offset = _HEADER.size
     try:
-        layout = _mode_layout(mode, D, n_dir)
-        d_star = layout.D_star
-        norm_codebooks = []
-        for s in range(m_prime):
-            chunk, offset = _take(raw, offset, 4 * k_star, f"norm codebook {s}")
-            values = np.frombuffer(chunk, dtype="<f4").astype(np.float64)
-            norm_codebooks.append(NormCodebook(values, signed=s > 0))
-
-        dir_codebooks = []
-        for j in range(n_dir):
-            chunk, offset = _take(raw, offset, 4 * k_star * d_star, f"vector codebook {j}")
-            cw = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(k_star, d_star)
-            dir_codebooks.append(Codebook(cw))
-
-        width = np.dtype(_code_dtype_le(k_star))
-        chunk, offset = _take(raw, offset, width.itemsize * n * m, "the code matrix")
-        if offset != len(raw):
-            raise CorruptionError(f"{len(raw) - offset} trailing bytes after the payload")
-        codes = CodeMatrix(np.frombuffer(chunk, dtype=width).reshape(m, n).T, k_stars=(k_star,) * m)
-
-        metadata = IndexMetadata(D=D, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed)
+        layout = _mode_layout(mode, D, m, m_prime)
+        blocks = _blocks(layout, n, m, m_prime, k_star)
+        # Sizes in Python ints: n * m alone can exceed int64.
+        sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in blocks]
+        extra = len(raw) - _HEADER.size - sum(sizes)
+        if extra < 0:
+            raise CorruptionError(f"index file truncated: the header implies {-extra} more bytes")
+        if extra > 0:
+            raise CorruptionError(f"{extra} trailing bytes after the payload")
+        norms, dirs, codes = (
+            np.frombuffer(raw, dtype, math.prod(shape), offset).reshape(shape)
+            for (dtype, shape), offset in zip(blocks, accumulate(sizes, initial=_HEADER.size))
+        )
         return IndexArtifact(
             mode=mode,
             layout=layout,
-            norm_codebooks=tuple(norm_codebooks),
-            dir_codebooks=tuple(dir_codebooks),
-            codes=codes,
-            metadata=metadata,
+            norm_codebooks=tuple(NormCodebook(v, signed=s > 0) for s, v in enumerate(norms)),
+            dir_codebooks=tuple(Codebook(cw) for cw in dirs),
+            codes=CodeMatrix(codes.T, k_stars=(k_star,) * m),
+            metadata=IndexMetadata(D=D, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed),
         )
     except InvalidInputError as exc:
         raise CorruptionError(f"index payload failed validation: {exc}") from exc

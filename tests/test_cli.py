@@ -290,10 +290,12 @@ class TestExitCodes:
             "--generations", 1, "--grid-steps", 2]
     EVAL = ["eval", "--index", "{tmp}/idx.fneq", "--data", "{tmp}/items.csv",
             "--queries", "{tmp}/queries.csv", "--iterations", 1]
-    # Invalid training parameters are rejected before the (missing) data is read.
+    # Invalid parameters are rejected before the (missing) data or index is read.
     NO_DATA_TRAIN = ["train", "--data", "{tmp}/missing.csv", "--mode", "pq", "--m", 3,
                      "--k-star", 8, "--out", "{tmp}/new.fneq"]
     NO_DATA_TUNE = ["tune", "--data", "{tmp}/missing.csv", "--out-grid", "{tmp}/grid.csv"]
+    NO_INDEX_EVAL = ["eval", "--index", "{tmp}/missing.fneq", "--data", "{tmp}/items.csv",
+                     "--queries", "{tmp}/queries.csv", "--out-prefix", "{tmp}/r"]
 
     CASES = {
         "train-out-in-missing-dir": (
@@ -337,6 +339,12 @@ class TestExitCodes:
             NO_DATA_TRAIN + ["--seed", 2**64 + 5], 1, "fneq train: seed must lie in [0, 2**64)"),
         "tune-seed-negative": (
             NO_DATA_TUNE + ["--seed", -1], 1, "fneq tune: seed must lie in [0, 2**64)"),
+        "eval-seed-negative": (
+            NO_INDEX_EVAL + ["--seed", -1], 1, "fneq eval: seed must lie in [0, 2**64)"),
+        "eval-iterations-0": (
+            NO_INDEX_EVAL + ["--iterations", 0], 1, "fneq eval: --iterations must be at least 1"),
+        "tune-grid-steps-0": (
+            NO_DATA_TUNE + ["--grid-steps", 0], 1, "fneq tune: --grid-steps must be at least 2"),
     }
 
     @pytest.mark.parametrize("argv,code,prefix", CASES.values(), ids=CASES.keys())

@@ -229,6 +229,11 @@ class TestBootstrapEval:
         with pytest.raises(InvalidInputError):
             bootstrap_eval(self.make_config(), iterations=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            bootstrap_eval(self.make_config(), iterations=1, seed=seed)
+
     @pytest.mark.parametrize("counts", [(60, 30), (30, 30), (3, 60), (30, 121)])
     def test_bad_item_counts_rejected_before_training(self, monkeypatch, counts):
         trained = []

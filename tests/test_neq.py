@@ -167,17 +167,25 @@ class TestEstimateInnerProduct:
         for row in index.codes.codes:
             assert estimate_inner_product(q, row, index) == 0.0
 
-    def test_op_counts_match_contract(self):
+    @pytest.mark.parametrize(
+        "mode,m,m_prime,lookups,adds,multiplies",
+        [
+            pytest.param("neq_kmeans", 3, 1, 2, 1, 1, id="neq_kmeans"),
+            pytest.param("fuzzy2_neq", 3, 1, 2, 1, 1, id="fuzzy2_neq"),
+            pytest.param("pq", 2, 0, 2, 0, 0, id="pq"),
+            pytest.param("rq", 2, 0, 2, 0, 0, id="rq"),
+        ],
+    )
+    def test_op_counts_match_contract(self, mode, m, m_prime, lookups, adds, multiplies):
         data = Dataset(make_mips_data(60, 8, seed=9))
-        index = train_neq(data, m=3, m_prime=1, k_star=4, mode="neq_kmeans",
-                          params=ClusteringParams(seed=9))
+        index = train_index(data, mode, m, m_prime, 4, ClusteringParams(seed=9))
         counter = OpCounter()
         adc = query_tables(np.ones(8), index)
         estimate_inner_product(np.ones(8), index.codes.codes[0], index, adc, counter)
         cost = per_item_cost(index)
-        assert counter.lookups == cost["lookups"] == 2
-        assert counter.adds == cost["adds"] == 1
-        assert counter.multiplies == cost["multiplies"] == 1
+        assert counter.lookups == cost["lookups"] == lookups
+        assert counter.adds == cost["adds"] == adds
+        assert counter.multiplies == cost["multiplies"] == multiplies
 
     @pytest.mark.parametrize("position,part", [(0, "norm"), (1, "direction"), (2, "direction")])
     def test_negative_codes_rejected_like_reconstruct(self, position, part):

@@ -1,14 +1,20 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import fneq.persist
 
 from dataclasses import replace
 
 from fneq.clustering import ClusteringParams
-from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook
+from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout
 from fneq.errors import CorruptionError, InvalidInputError
-from fneq.neq import scan_scores, select_top_k, train_index
+from fneq.neq import IndexArtifact, IndexMetadata, scan_scores, select_top_k, train_index
 from fneq.persist import MAGIC, load_index, save_index
 
 from conftest import make_mips_data
@@ -211,3 +217,131 @@ class TestCorruption:
         path.write_bytes(MAGIC)
         with pytest.raises(CorruptionError, match="shorter"):
             load_index(path)
+
+
+# Hand-built indexes: (mode, D, seed, norm values per stage, direction
+# codewords per codebook, codes per item). Every value is exact in float32.
+GOLDEN = {
+    "pq": ("pq", 4, 7, [], [[[0.5, -1.0], [2.0, 0.25]], [[1.5, 3.0], [-0.75, -0.0]]],
+           [[0, 1], [1, 0], [1, 1]]),
+    "rq": ("rq", 3, 2**64 - 1, [], [[[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]],
+                                    [[0.125, 0.0, -0.25], [0.0, 0.0, 1.0]]],
+           [[1, 0], [0, 1], [0, 0]]),
+    "neq_kmeans": ("neq_kmeans", 4, 0, [[0.0, 1.5]],
+                   [[[0.5, 0.5], [1.0, 0.0]], [[0.0, -1.0], [0.25, 0.75]]],
+                   [[0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 1]]),
+    "fuzzy2_neq": ("fuzzy2_neq", 2, 3, [[0.5, 2.0], [-0.25, 0.125]], [[[1.0, 0.0], [0.0, 1.0]]],
+                   [[1, 0, 1], [0, 1, 0]]),
+    "pq-u16": ("pq", 2, 1, [], [[[i / 4] for i in range(300)], [[-i / 8] for i in range(300)]],
+               [[299, 0], [256, 17], [3, 298]]),
+}
+MODE_CODES = {"pq": 0, "rq": 1, "neq_kmeans": 2, "fuzzy2_neq": 3}
+
+
+def golden_bytes(mode, D, seed, norms, dirs, codes):
+    """The v1 file spelled out from the documented layout."""
+    k_star, n, m = len(dirs[0]), len(codes), len(codes[0])
+    header = struct.pack("<4sHBIIIIIQ16s", b"FNEQ", 1, MODE_CODES[mode], D, n, m, len(norms),
+                         k_star, seed, bytes(16))
+    floats = [v for values in norms for v in values]
+    floats += [x for codewords in dirs for row in codewords for x in row]
+    column_major = [codes[i][j] for j in range(m) for i in range(n)]
+    width = "B" if k_star <= 256 else "H"
+    return (header + struct.pack(f"<{len(floats)}f", *floats)
+            + struct.pack(f"<{len(column_major)}{width}", *column_major))
+
+
+def golden_artifact(mode, D, seed, norms, dirs, codes):
+    k_star, m = len(dirs[0]), len(codes[0])
+    return IndexArtifact(
+        mode=mode,
+        layout=SubVectorLayout(D=D, m_dir=1 if mode == "rq" else len(dirs)),
+        norm_codebooks=tuple(NormCodebook(np.array(v), signed=s > 0) for s, v in enumerate(norms)),
+        dir_codebooks=tuple(Codebook(np.array(cw)) for cw in dirs),
+        codes=CodeMatrix(np.array(codes), k_stars=(k_star,) * m),
+        metadata=IndexMetadata(D=D, n=len(codes), m=m, m_prime=len(norms), k_star=k_star, seed=seed),
+    )
+
+
+def assert_same_payload(a, b):
+    assert (a.mode, a.layout, a.metadata) == (b.mode, b.layout, b.metadata)
+    assert a.codes.codes.dtype == b.codes.codes.dtype
+    assert a.codes.codes.tobytes() == b.codes.codes.tobytes()
+    assert [(cb.values.tobytes(), cb.signed) for cb in a.norm_codebooks] == [
+        (cb.values.tobytes(), cb.signed) for cb in b.norm_codebooks
+    ]
+    assert [cb.codewords.tobytes() for cb in a.dir_codebooks] == [
+        cb.codewords.tobytes() for cb in b.dir_codebooks
+    ]
+
+
+class TestGoldenBytes:
+    """Pins the v1 bytes without the writer: a layout bug made the same
+    way in ``save_index`` and ``load_index`` survives a round trip."""
+
+    @pytest.mark.parametrize("case", GOLDEN.values(), ids=GOLDEN.keys())
+    def test_save_writes_and_load_reads_the_documented_bytes(self, tmp_path, case):
+        index = golden_artifact(*case)
+        saved = tmp_path / "saved.fneq"
+        save_index(saved, index)
+        assert saved.read_bytes() == golden_bytes(*case)
+
+        spelled = tmp_path / "spelled.fneq"
+        spelled.write_bytes(golden_bytes(*case))
+        assert_same_payload(load_index(spelled), index)
+
+
+# Byte offsets of the u32 header fields.
+FIELDS = {"D": 7, "n": 11, "m": 15, "m_prime": 19, "k_star": 23}
+U32 = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 16), st.just(2**32 - 1))
+edits = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("fields"), st.dictionaries(st.sampled_from(sorted(FIELDS)), U32, min_size=1)),
+)
+
+
+def with_fields(raw, fields):
+    raw = bytearray(raw)
+    for name, value in fields.items():
+        raw[FIELDS[name] : FIELDS[name] + 4] = value.to_bytes(4, "little")
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(sorted(GOLDEN)), edit=edits)
+@example(case="pq", edit=("fields", {"n": 2**32 - 1, "m": 2**32 - 1}))
+@example(case="rq", edit=("fields", {"D": 1, "n": 19, "m_prime": 3}))
+@example(case="neq_kmeans", edit=("fields", {"n": 2**32 - 1, "m": 2**32 - 1, "k_star": 0}))
+@example(case="fuzzy2_neq", edit=("fields", {"m_prime": 2**32 - 1}))
+def test_edited_file_is_corrupt_or_resaves_to_its_bytes(case, edit):
+    raw = bytearray(golden_bytes(*GOLDEN[case]))
+    kind, arg = edit
+    if kind == "truncate":
+        raw = raw[: arg % len(raw)]
+    elif kind == "append":
+        raw += arg
+    else:
+        raw = with_fields(raw, arg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.fneq"
+        path.write_bytes(raw)
+        try:
+            loaded = load_index(path)
+        except CorruptionError:
+            event(f"{kind}: corrupt")
+            return
+        event(f"{kind}: loaded")
+        save_index(path, loaded)
+        assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("k_star", [0, 2])
+def test_header_implying_more_than_int64_bytes_reads_as_truncated(tmp_path, k_star):
+    # rq: one (k_star x D) codebook per stage and an (m x n) code block,
+    # whose size in int64 would wrap negative and read as trailing bytes.
+    fields = {"n": 2**32 - 1, "m": 2**32 - 1, "k_star": k_star}
+    path = tmp_path / "index.fneq"
+    path.write_bytes(with_fields(golden_bytes(*GOLDEN["rq"]), fields))
+    with pytest.raises(CorruptionError, match="truncated"):
+        load_index(path)
