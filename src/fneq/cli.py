@@ -8,10 +8,10 @@ prints ``fneq <command>: <message>`` to stderr, with ``data error: `` or
 ``training error: `` before the message for codes 2 and 3.
 
 ``FNEQ_THREADS`` caps the threads that fit the per-sub-space codebooks
-of pq, neq_kmeans and fuzzy2_neq; 0 or unset means the CPUs available.
-A value that is not a non-negative integer exits 1. RQ stages,
-re-encoding and queries stay single-threaded. Pinning
-``OPENBLAS_NUM_THREADS=1`` avoids oversubscription.
+of pq, neq_kmeans and fuzzy2_neq and that re-encode row blocks (0 or
+unset: the CPUs available); output is bit-identical at every cap, and a
+value that is not a non-negative integer exits 1. RQ stages and queries
+stay single-threaded. Pinning ``OPENBLAS_NUM_THREADS=1`` avoids oversubscription.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .evaluate import (
     write_curve_csv,
     write_metrics_csv,
 )
-from .neq import MODES, item_sq_norms, scan_scores, select_top_k, train_index
+from .neq import MODES, _check_training, item_sq_norms, scan_scores, select_top_k, train_index
 from .persist import load_index, save_index
 from .tuner import (
     GAConfig,
@@ -154,6 +154,7 @@ def _cmd_train(args) -> int:
             max_iters=args.max_iters,
             seed=args.seed,
         )
+        _check_training(args.mode, args.m, args.m_prime, args.k_star)
     with _exits(EXIT_DATA, *_READ_ERRORS):
         dataset = Dataset(io.load_matrix(args.data, args.format))
     with _exits(EXIT_TRAIN, InvalidInputError):

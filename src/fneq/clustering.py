@@ -157,8 +157,8 @@ def _check_points(points: np.ndarray, c: int) -> np.ndarray:
         raise InvalidInputError("points must be a non-empty 2-D matrix")
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("points must be finite")
-    if c > points.shape[0]:
-        raise InvalidInputError(f"c={c} exceeds the {points.shape[0]} available points")
+    if not 1 <= c <= points.shape[0]:
+        raise InvalidInputError(f"c={c} must lie in [1, {points.shape[0]}] (the available points)")
     return points
 
 

@@ -34,13 +34,15 @@ sub-space, where the shared kernels sum them.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .aggregation import FuzzyMeasure, fuse_codebooks
 from .clustering import ClusteringParams, _check_seed, encode_scalar, it2fpcm, kmeans_scalar
-from .core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms
+from .core import (Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms,
+                   thread_cap)
 from .errors import CorruptionError, InvalidInputError
 from .quantizers import (
     ADCTable, _fit_codebooks, _kmeans_fit, build_adc_table, decode, encode_batch,
@@ -50,6 +52,7 @@ MODES = ("pq", "rq", "neq_kmeans", "fuzzy2_neq")
 
 #: Guard against a degenerate all-cancelling direction reconstruction.
 _MIN_RECON_NORM = 1e-30
+_BLOCK = 8192  #: Rows per block that ``reencode`` codes on one thread.
 
 
 @dataclass
@@ -142,12 +145,25 @@ def _f32_exact(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
-def _mode_layout(mode: str, D: int, m: int, m_prime: int) -> SubVectorLayout:
-    """``rq`` stacks its stages on ``m_dir = 1``; every other mode has one
-    direction codebook per sub-space. Every mode needs a direction codebook."""
+def _mode_m_dir(mode: str, m: int, m_prime: int) -> int:
+    """Direction sub-spaces: one for ``rq``'s stages, else one per direction codebook."""
     if m_prime >= m:
         raise InvalidInputError(f"m={m} must exceed m_prime={m_prime}")
-    return SubVectorLayout(D=D, m_dir=1 if mode == "rq" else m - m_prime)
+    return 1 if mode == "rq" else m - m_prime
+
+
+def _check_training(mode: str, m: int, m_prime: int, k_star: int) -> tuple[int, int]:
+    """``train_index``'s checks that need no data; returns its ``m_prime`` and ``m_dir``."""
+    if mode not in MODES:
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if mode in ("pq", "rq"):
+        m_prime = 0
+    elif m_prime < 1:
+        raise InvalidInputError("m_prime must be at least 1")
+    least = 2 if m_prime else 1  # norm stage 0 may reserve a codeword for zero rows
+    if k_star < least:
+        raise InvalidInputError(f"k_star must be at least {least}")
+    return m_prime, _mode_m_dir(mode, m, m_prime)
 
 
 def train_index(
@@ -167,15 +183,8 @@ def train_index(
     to float32 and codes the training items with the encoder of
     ``reencode``.
     """
-    if mode not in MODES:
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    if mode in ("pq", "rq"):
-        m_prime = 0
-    elif m_prime < 1:
-        raise InvalidInputError("m_prime must be at least 1")
-    elif k_star < 2:
-        raise InvalidInputError("k_star must be at least 2")
-    layout = _mode_layout(mode, dataset.dim, m, m_prime)
+    m_prime, m_dir = _check_training(mode, m, m_prime, k_star)
+    layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
     if m_prime:
         norms, nonzero, points = _unit_directions(dataset.items)
     else:
@@ -267,17 +276,22 @@ def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
     codebooks, keeping the codebooks fixed.
 
     This is how a codebook fitted on a training sample indexes the full
-    corpus, through the encoder that coded the training items.
+    corpus, through the encoder that coded the training items. Blocks of
+    ``_BLOCK`` rows run on up to ``thread_cap()`` threads; with the codebooks
+    fixed every step of ``_encode`` is row by row, so neither changes a code.
     """
     md = index.metadata
     if dataset.dim != md.D:
-        raise InvalidInputError(
-            f"dataset has D={dataset.dim} but the index expects D={md.D}"
-        )
-    _, codes = _encode(
-        dataset.items, index.layout, index.dir_codebooks, md.m_prime,
-        lambda s, residual: index.norm_codebooks[s],
-    )
+        raise InvalidInputError(f"dataset has D={dataset.dim} but the index expects D={md.D}")
+
+    def block(start: int) -> np.ndarray:
+        return _encode(
+            dataset.items[start : start + _BLOCK], index.layout, index.dir_codebooks,
+            md.m_prime, lambda s, residual: index.norm_codebooks[s],
+        )[1]
+
+    with ThreadPoolExecutor(max_workers=thread_cap()) as ex:
+        codes = np.concatenate(list(ex.map(block, range(0, dataset.n, _BLOCK))))
     return replace(
         index,
         codes=CodeMatrix(codes, k_stars=index.codes.k_stars),

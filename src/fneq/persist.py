@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Codebook, CodeMatrix, NormCodebook, SubVectorLayout, code_dtype
 from .errors import CorruptionError, InvalidInputError
-from .neq import IndexArtifact, IndexMetadata, _mode_layout
+from .neq import IndexArtifact, IndexMetadata, _mode_m_dir
 
 MAGIC = b"FNEQ"
 VERSION = 1
@@ -99,7 +99,7 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
         raise CorruptionError("reserved header bytes must be zero")
 
     try:
-        layout = _mode_layout(mode, D, m, m_prime)
+        layout = SubVectorLayout(D=D, m_dir=_mode_m_dir(mode, m, m_prime))
         blocks = _blocks(layout, n, m, m_prime, k_star)
         # Sizes in Python ints: n * m alone can exceed int64.
         sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in blocks]

@@ -102,8 +102,35 @@ def _codebook_slices(codebooks: tuple[Codebook, ...], layout: SubVectorLayout) -
 
 
 def nearest_codes(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Index of the nearest codeword per row; ties pick the lowest index."""
-    return squared_distances(vectors, codebook.codewords).argmin(axis=1)
+    """Index of the nearest codeword per row; ties pick the lowest index.
+
+    Equals the ``squared_distances`` argmin bit for bit, row by row. One GEMM
+    gives ``g = ||c||² - 2 c·x`` as ``(k*, n)``; rows where another ``g`` lies
+    within ``bound`` of the least (ties, non-finite) are re-checked exactly.
+    With ``u = eps/2``, ``D = D*``, ``M = max ||c||`` and ``S = (M + ||x||)²
+    <= 2 (M² + ||x||²)``, ``g`` is off by at most ``2Du ||c|| ||x|| + Du ||c||²
+    + u |g| <= (D+1) u S``, and a ``cdist`` distance ``d <= S``, a sum of ``D``
+    terms ``(a - b)²`` each off by ``3u`` of itself, by ``(D+2) u S`` in any
+    order. So two ``g`` more than ``(2D+3) eps S`` apart keep their strict
+    order in ``cdist``; ``bound = 4 (D+4) eps (M² + ||x||²)`` covers that and
+    the rounding of ``best + bound``, and ``4 (D+4)`` smallest subnormals
+    cover underflow.
+    """
+    cw = codebook.codewords
+    fp = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows take the exact path
+        sq = np.einsum("ij,ij->i", cw, cw)
+        g = (-2.0 * cw) @ vectors.T
+        g += sq[:, None]
+        best = g.min(axis=0)
+        x_sq = np.einsum("ij,ij->i", vectors, vectors)
+        bound = 4 * (cw.shape[1] + 4) * (fp.eps * (sq.max() + x_sq) + fp.smallest_subnormal)
+        near_code, near_row = np.divmod(np.flatnonzero(g <= best + bound), vectors.shape[0])
+    codes = np.zeros(vectors.shape[0], dtype=np.intp)
+    codes[near_row] = near_code
+    rows = np.flatnonzero((np.bincount(near_row, minlength=len(codes)) != 1) | ~np.isfinite(best))
+    codes[rows] = squared_distances(vectors[rows], cw).argmin(axis=1)
+    return codes
 
 
 def encode(

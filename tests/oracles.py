@@ -56,7 +56,6 @@ from fneq.quantizers import (
     _subseeds,
     decode,
     encode_batch,
-    nearest_codes,
 )
 
 
@@ -71,6 +70,11 @@ def brute_force_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarra
                 best = j
         out[i] = best
     return out
+
+
+def nearest_codes_reference(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """The first minimum of each row of ``cdist``'s squared distances."""
+    return squared_distances(vectors, codebook.codewords).argmin(axis=1)
 
 
 def full_sort_topk(scores: np.ndarray, k: int) -> np.ndarray:
@@ -468,7 +472,7 @@ def rq_encode(items: np.ndarray, codebooks: tuple[Codebook, ...]) -> np.ndarray:
     residual = items.copy()
     codes = np.empty((items.shape[0], len(codebooks)), dtype=np.int64)
     for s, cb in enumerate(codebooks):
-        idx = nearest_codes(residual, cb)
+        idx = nearest_codes_reference(residual, cb)
         residual -= cb.codewords[idx]
         codes[:, s] = idx
     return codes

@@ -293,6 +293,8 @@ class TestExitCodes:
     # Invalid parameters are rejected before the (missing) data or index is read.
     NO_DATA_TRAIN = ["train", "--data", "{tmp}/missing.csv", "--mode", "pq", "--m", 3,
                      "--k-star", 8, "--out", "{tmp}/new.fneq"]
+    NO_DATA_NEQ_TRAIN = ["train", "--data", "{tmp}/missing.csv", "--mode", "neq_kmeans",
+                         "--m", 3, "--k-star", 8, "--out", "{tmp}/new.fneq"]
     NO_DATA_TUNE = ["tune", "--data", "{tmp}/missing.csv", "--out-grid", "{tmp}/grid.csv"]
     NO_INDEX_EVAL = ["eval", "--index", "{tmp}/missing.fneq", "--data", "{tmp}/items.csv",
                      "--queries", "{tmp}/queries.csv", "--out-prefix", "{tmp}/r"]
@@ -345,6 +347,15 @@ class TestExitCodes:
             NO_INDEX_EVAL + ["--iterations", 0], 1, "fneq eval: --iterations must be at least 1"),
         "tune-grid-steps-0": (
             NO_DATA_TUNE + ["--grid-steps", 0], 1, "fneq tune: --grid-steps must be at least 2"),
+        "train-neq-k-star-0": (
+            NO_DATA_NEQ_TRAIN + ["--k-star", 0], 1, "fneq train: k_star must be at least 2"),
+        "train-neq-m-0": (
+            NO_DATA_NEQ_TRAIN + ["--m", 0], 1, "fneq train: m=0 must exceed m_prime=1"),
+        "train-neq-m-prime-at-m": (
+            NO_DATA_NEQ_TRAIN + ["--m", 2, "--m-prime", 2], 1,
+            "fneq train: m=2 must exceed m_prime=2"),
+        "train-pq-k-star-0": (
+            NO_DATA_TRAIN + ["--k-star", 0], 1, "fneq train: k_star must be at least 1"),
     }
 
     @pytest.mark.parametrize("argv,code,prefix", CASES.values(), ids=CASES.keys())

@@ -70,6 +70,8 @@ class TestKMeans:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             kmeans(np.ones((3, 2)), 4, ClusteringParams())
+        with pytest.raises(InvalidInputError, match="c=0"):
+            kmeans(np.ones((3, 2)), 0, ClusteringParams())
         with pytest.raises(InvalidInputError):
             kmeans(np.array([[np.nan, 1.0]]), 1, ClusteringParams())
         for tol in (-1e-4, np.nan):

@@ -37,7 +37,9 @@ from fneq.neq import (
     train_index,
 )
 from fneq.persist import load_index, save_index
-from fneq.quantizers import build_adc_table, decode, encode_batch, train_pq, train_rq
+from fneq.quantizers import (
+    build_adc_table, decode, encode_batch, nearest_codes, train_pq, train_rq,
+)
 
 import oracles
 from oracles import (
@@ -48,6 +50,7 @@ from oracles import (
     fuse_reference,
     it2fpcm_reference,
     lloyd_reference,
+    nearest_codes_reference,
     rq_decode,
     rq_encode,
     train_index_reference,
@@ -434,6 +437,35 @@ def test_trainers_equal_references_bit_for_bit(
             save_index(Path(tmp) / "got", train_index(*args))
             save_index(Path(tmp) / "want", train_index_reference(*args))
             assert (Path(tmp) / "got").read_bytes() == (Path(tmp) / "want").read_bytes(), mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 80),
+    k=st.integers(1, 40),
+    n=st.integers(0, 300),
+    thirds=st.booleans(),
+    exponent=st.integers(-30, 30),
+)
+def test_nearest_codes_equal_cdist_argmin(seed, d, k, n, thirds, exponent):
+    """The GEMM kernel with its exact re-check gives the ``cdist`` argmin,
+    ties included, on tie-prone data at scales ``2**exponent``: integer or
+    thirds codewords with repeats; points on a codeword, on the midpoint of
+    two, or on a midpoint moved by a relative ``2**-j`` (``j`` in 20..52),
+    which puts near ties at every size around the rounding bound."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-3, 4, size=(k, d)) / (3.0 if thirds else 1.0)
+    codewords = grid[rng.integers(0, k, size=k)]
+    a, b = rng.integers(0, k, size=(2, n))
+    kind = rng.integers(0, 3, size=n)
+    points = np.where((kind == 0)[:, None], codewords[a], (codewords[a] + codewords[b]) / 2)
+    nudge = rng.normal(size=(n, d)) * 2.0 ** -rng.integers(20, 53, size=(n, 1))
+    points[kind == 2] += nudge[kind == 2]
+    scale = 2.0**exponent
+    codebook = Codebook(codewords * scale)
+    expected = nearest_codes_reference(points * scale, codebook)
+    np.testing.assert_array_equal(nearest_codes(points * scale, codebook), expected)
 
 
 #: Values that make codewords coincide, distances tie and zeros carry a sign.

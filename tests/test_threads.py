@@ -1,6 +1,6 @@
-"""``FNEQ_THREADS`` and the per-sub-space codebook fits it caps: the cap
-itself, byte-identical indexes at every cap, worker errors and the pool
-the fits run on."""
+"""``FNEQ_THREADS`` and the work it caps, the per-sub-space codebook fits
+and ``reencode``'s row blocks: the cap itself, byte-identical indexes at
+every cap and block split, worker errors and the pool the fits run on."""
 
 import os
 import threading
@@ -14,7 +14,7 @@ import fneq.quantizers
 from fneq.clustering import ClusteringParams
 from fneq.core import Dataset, pad_to_multiple, thread_cap
 from fneq.errors import InvalidInputError
-from fneq.neq import train_index
+from fneq.neq import _BLOCK, _encode, reencode, train_index
 from fneq.persist import save_index
 from fneq.quantizers import _subseeds
 
@@ -37,12 +37,18 @@ def corpus(m_dir: int, zero_rows: bool) -> Dataset:
     return Dataset(items)
 
 
-def saved_bytes(tmp_path, dataset, mode, m, m_prime, cap, monkeypatch) -> bytes:
+def saved_bytes(tmp_path, dataset, mode, m, m_prime, cap, monkeypatch) -> list[bytes]:
+    """The saved trained index, and its re-encode of the corpus repeated
+    past one ``reencode`` block."""
     monkeypatch.setenv("FNEQ_THREADS", str(cap))
     index = train_index(dataset, mode, m, m_prime, 8, ClusteringParams(seed=4, max_iters=30))
-    path = tmp_path / f"{mode}-{cap}.fneq"
-    save_index(path, index)
-    return path.read_bytes()
+    corpus = Dataset(np.tile(dataset.items, (_BLOCK // dataset.n + 1, 1)))
+    files = []
+    for name, artifact in (("trained", index), ("reencoded", reencode(index, corpus))):
+        path = tmp_path / f"{mode}-{cap}-{name}.fneq"
+        save_index(path, artifact)
+        files.append(path.read_bytes())
+    return files
 
 
 def test_thread_cap_auto_counts_the_cpus_this_process_may_use(monkeypatch):
@@ -126,3 +132,51 @@ def test_fits_run_on_at_most_cap_pool_threads(monkeypatch, cap):
     fneq.quantizers.train_pq(corpus(8, False), 8, 8, ClusteringParams(seed=1, max_iters=5))
     assert threading.get_ident() not in seen
     assert 1 <= len(seen) <= cap
+
+
+#: (mode, m_prime) of the re-encoding tests; pq and rq have no norm codebooks.
+REENCODE_CONFIGS = [("pq", 0), ("rq", 0), ("neq_kmeans", 1), ("neq_kmeans", 2),
+                    ("fuzzy2_neq", 1), ("fuzzy2_neq", 2)]
+
+
+def block_corpus() -> np.ndarray:
+    """``2 * _BLOCK + 37`` rows: three blocks, the middle one all zero."""
+    items = make_mips_data(2 * _BLOCK + 37, 12, seed=6)
+    items[_BLOCK : 2 * _BLOCK] = 0.0
+    return items
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("mode,m_prime", REENCODE_CONFIGS)
+def test_reencode_blocks_equal_one_encode_call(monkeypatch, cap, mode, m_prime):
+    """Coded block by block on ``cap`` threads, the corpus gets the codes of
+    one ``_encode`` call on the whole matrix."""
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    items = block_corpus()
+    index = train_index(Dataset(items[:300]), mode, 4 + m_prime, m_prime, 8,
+                        ClusteringParams(seed=2, max_iters=20))
+    whole = _encode(items, index.layout, index.dir_codebooks, index.m_prime,
+                    lambda s, residual: index.norm_codebooks[s])[1]
+    codes = reencode(index, Dataset(items)).codes.codes
+    np.testing.assert_array_equal(codes, whole)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_first_failing_block_raises_its_own_error(monkeypatch, cap):
+    """Blocks 1 and 2 fail, block 1 after a short wait: its error is raised."""
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    items = make_mips_data(2 * _BLOCK + 37, 12, seed=6)
+    index = train_index(Dataset(items[:300]), "pq", 4, 0, 8, ClusteringParams(seed=2))
+    original = fneq.neq._encode
+
+    def failing(block, *args):
+        if block.shape[0] == 37:
+            raise InvalidInputError("block 2 failed")
+        if np.array_equal(block[0], items[_BLOCK]):
+            time.sleep(0.05)
+            raise InvalidInputError("block 1 failed")
+        return original(block, *args)
+
+    monkeypatch.setattr(fneq.neq, "_encode", failing)
+    with pytest.raises(InvalidInputError, match="^block 1 failed$"):
+        reencode(index, Dataset(items))
