@@ -34,7 +34,7 @@ from .evaluate import (
     write_curve_csv,
     write_metrics_csv,
 )
-from .neq import MODES, _check_training, item_sq_norms, scan_scores, select_top_k, train_index
+from .neq import MODES, _check_training, _ranked, item_sq_norms, train_index
 from .persist import load_index, save_index
 from .tuner import (
     GAConfig,
@@ -93,10 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--m", type=int, required=True, help="total codebooks")
     train.add_argument("--m-prime", type=int, default=1, help="norm codebooks (NEQ modes)")
     train.add_argument("--k-star", type=int, required=True, help="codewords per codebook")
-    train.add_argument("--xi1", type=float, default=8.5)
-    train.add_argument("--xi2", type=float, default=9.1)
-    train.add_argument("--epsilon", type=float, default=1e-5)
-    train.add_argument("--max-iters", type=int, default=100)
+    train.add_argument("--xi1", type=float, default=ClusteringParams.xi_lower)
+    train.add_argument("--xi2", type=float, default=ClusteringParams.xi_upper)
+    train.add_argument("--epsilon", type=float, default=ClusteringParams.epsilon)
+    train.add_argument("--max-iters", type=int, default=ClusteringParams.max_iters)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True, help="index file to write")
 
@@ -123,14 +123,14 @@ def _build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser("tune", help="search the fuzziness interval")
     tune.add_argument("--data", required=True)
     tune.add_argument("--format", choices=("fvecs", "csv"), default="csv")
-    tune.add_argument("--bounds", type=float, nargs=2, default=(2.0, 12.0), metavar=("LOW", "HIGH"))
+    tune.add_argument("--bounds", type=float, nargs=2, default=GAConfig.bounds, metavar=("LOW", "HIGH"))
     tune.add_argument("--objective", choices=("mse", "recall"), default="mse")
     tune.add_argument("--k-star", type=int, default=16)
     tune.add_argument("--m", type=int, default=3, help="total codebooks (recall objective)")
     tune.add_argument("--m-prime", type=int, default=1)
     tune.add_argument("--queries", default=None, help="query file (recall objective)")
-    tune.add_argument("--population", type=int, default=10)
-    tune.add_argument("--generations", type=int, default=50)
+    tune.add_argument("--population", type=int, default=GAConfig.population)
+    tune.add_argument("--generations", type=int, default=GAConfig.generations)
     tune.add_argument("--grid-steps", type=int, default=8)
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--out-grid", required=True)
@@ -182,14 +182,10 @@ def _cmd_query(args) -> int:
         writer = csv.writer(out)
         writer.writerow(("query_id", "rank", "item_id", "score"))
         sq_norms = item_sq_norms(index) if args.ranking == "distance" else None
-        for qi in range(queries.shape[0]):
-            scores = scan_scores(queries[qi], index)
-            if sq_norms is not None:
-                q = queries[qi]
-                scores = -(q @ q - 2.0 * scores + sq_norms)
-            ids = select_top_k(scores, args.k)
-            for rank, item in enumerate(ids, start=1):
-                writer.writerow((qi, rank, int(item), f"{scores[item]:.9g}"))
+        for qi, q in enumerate(queries):
+            ids, scores = _ranked(q, index, args.k, sq_norms)
+            for rank, (item, score) in enumerate(zip(ids, scores), start=1):
+                writer.writerow((qi, rank, int(item), f"{score:.9g}"))
     finally:
         if args.out:
             out.close()

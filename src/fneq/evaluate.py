@@ -190,13 +190,6 @@ class EvalReport:
         return float(np.mean(self.running_time_seconds))
 
 
-def _metric_row(scores: np.ndarray, relevant: np.ndarray, k: int) -> tuple[float, float, float]:
-    """(recall, precision, F1) of the top-k of ``scores``."""
-    approx = select_top_k(scores, k)
-    r, p = recall(approx, relevant), precision(approx, relevant)
-    return r, p, f1(p, r)
-
-
 def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> EvalReport:
     """Per iteration: resample the training items with replacement, fit
     the codebooks on the resample, then encode and evaluate the original
@@ -244,7 +237,9 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
         excluded = 0.0
         for i, q in enumerate(queries.queries):
             scores = scan_scores(q, index)
-            rows[i] = _metric_row(scores, truth.ids[i], k)
+            approx = select_top_k(scores, k)
+            r, p = recall(approx, truth.ids[i]), precision(approx, truth.ids[i])
+            rows[i] = r, p, f1(p, r)
             mark = time.perf_counter()
             _add_prefix_recalls(values, scores, truths, counts, i, t)
             excluded += time.perf_counter() - mark

@@ -382,33 +382,38 @@ def scan_scores(
     (all items by default). Vectorized form of the per-item estimate."""
     tables = query_tables(q, index).tables
     codes = index.codes.codes[: index.n if limit is None else limit]
-    r_total = np.zeros(codes.shape[0])
-    for j in range(index.n_parts):
-        r_total += tables[j].take(codes[:, index.m_prime + j])
+    r_total = _gather_sum(tables, codes[:, index.m_prime :])
     if index.m_prime == 0:
         return r_total
     return _norm_sums(codes, index) * r_total
 
 
+def _gather_sum(tables, codes: np.ndarray) -> np.ndarray:
+    """Per item, the sum of ``tables[j][codes[:, j]]`` over the tables, in order."""
+    total = np.zeros(codes.shape[0])
+    for j, table in enumerate(tables):
+        total += table.take(codes[:, j])
+    return total
+
+
 def _norm_sums(codes: np.ndarray, index: IndexArtifact) -> np.ndarray:
     """Per-item sum of the selected norm codewords."""
-    l_total = np.zeros(codes.shape[0])
-    for s, cb in enumerate(index.norm_codebooks):
-        l_total += cb.values.take(codes[:, s])
-    return l_total
+    return _gather_sum([cb.values for cb in index.norm_codebooks], codes)
 
 
 def item_sq_norms(index: IndexArtifact) -> np.ndarray:
-    """Squared norms of the reconstructions (used by distance ranking)."""
+    """Squared norms of the reconstructions (used by distance ranking): the
+    codeword norms plus twice the Gram entries of each pair of codebooks on
+    one sub-space (only ``rq`` stacks such pairs), summed in one gather."""
     codes = index.codes.codes
-    if index.mode == "rq":
-        # Stages overlap, so their cross terms do not vanish.
-        recon = decode(codes, index.dir_codebooks, index.layout)
-        return np.einsum("ij,ij->i", recon, recon)
-    dir_sq = np.zeros(codes.shape[0])
-    for j, cb in enumerate(index.dir_codebooks):
-        sq = np.einsum("ij,ij->i", cb.codewords, cb.codewords)
-        dir_sq += sq.take(codes[:, index.m_prime + j])
+    dir_codes = codes[:, index.m_prime :]
+    cbs = [cb.codewords for cb in index.dir_codebooks]
+    m_dir = index.layout.m_dir
+    pairs = [(j, l) for l in range(len(cbs)) for j in range(l % m_dir, l, m_dir)]
+    tables = [np.einsum("ij,ij->i", c, c) for c in cbs]
+    tables += [2.0 * (cbs[j] @ cbs[l].T).ravel() for j, l in pairs]
+    pair_codes = [dir_codes[:, j].astype(np.intp) * len(cbs[l]) + dir_codes[:, l] for j, l in pairs]
+    dir_sq = _gather_sum(tables, np.vstack([dir_codes.T, *pair_codes]).T)
     if index.m_prime == 0:
         return dir_sq
     l_total = _norm_sums(codes, index)
@@ -432,6 +437,17 @@ def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return order[:k].astype(np.int64)
 
 
+def _ranked(q: np.ndarray, index: IndexArtifact, k: int, sq_norms: np.ndarray | None):
+    """Top-``k`` ``(ids, scores)`` of one scan: estimated inner products, or
+    negated squared distances when ``sq_norms`` (``item_sq_norms``) is given."""
+    scores = scan_scores(q, index)
+    if sq_norms is not None:
+        q = np.asarray(q, dtype=np.float64)
+        scores = -(q @ q - 2.0 * scores + sq_norms)
+    ids = select_top_k(scores, k)
+    return ids, scores[ids]
+
+
 def top_k(
     q: np.ndarray,
     index: IndexArtifact,
@@ -444,13 +460,9 @@ def top_k(
     descending. ``ranking="distance"`` instead ranks by Euclidean
     distance between the query and the reconstructions (an experimental
     alternative; scores are then negated squared distances so that
-    higher still means better).
+    higher still means better); in every mode that costs one more pass
+    over the codes, and nothing decodes the corpus.
     """
-    scores = scan_scores(q, index)
-    if ranking == "distance":
-        q = np.asarray(q, dtype=np.float64)
-        scores = -(q @ q - 2.0 * scores + item_sq_norms(index))
-    elif ranking != "inner_product":
+    if ranking not in ("inner_product", "distance"):
         raise InvalidInputError(f"unknown ranking {ranking!r}")
-    ids = select_top_k(scores, k)
-    return ids, scores[ids]
+    return _ranked(q, index, k, item_sq_norms(index) if ranking == "distance" else None)

@@ -41,10 +41,6 @@ def max_norm(dataset: Dataset) -> float:
     return float(row_norms(dataset.items).max())
 
 
-def augmented_space(dataset: Dataset) -> AugmentedSpace:
-    return AugmentedSpace(phi=max_norm(dataset), D_aug=dataset.dim + 1)
-
-
 def _lift_radicand(sq_norms: np.ndarray, phi: float) -> np.ndarray:
     radicand = phi * phi - sq_norms
     bad = radicand < -_RADICAND_SLACK

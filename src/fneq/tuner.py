@@ -23,8 +23,8 @@ from .aggregation import FuzzyMeasure, fuse_codebooks
 from .clustering import ClusteringParams, it2fpcm
 from .core import Dataset, QuerySet
 from .errors import InvalidInputError
-from .evaluate import _metric_row, exact_topk
-from .neq import scan_scores, train_index
+from .evaluate import exact_topk, recall
+from .neq import top_k, train_index
 from .quantizers import nearest_codes
 
 GRID_HEADER = ("xi1", "xi2", "cost")
@@ -200,7 +200,7 @@ def make_recall_objective(
     def objective(xi1: float, xi2: float) -> float:
         p = replace(params, xi_lower=xi1, xi_upper=xi2, eta_lower=xi1, eta_upper=xi2)
         index = train_index(dataset, "fuzzy2_neq", m, m_prime, k_star, p, measure=measure)
-        recalls = [_metric_row(scan_scores(q, index), truth.ids[i], truth_depth)[0]
+        recalls = [recall(top_k(q, index, truth_depth)[0], truth.ids[i])
                    for i, q in enumerate(queries.queries)]
         return -float(np.mean(recalls))
 

@@ -493,6 +493,26 @@ def rq_decode(codes: np.ndarray, codebooks: tuple[Codebook, ...]) -> np.ndarray:
     return out[0] if single else out
 
 
+def item_sq_norms_reference(index: IndexArtifact) -> np.ndarray:
+    """Squared norms of the reconstructions as the library computed them
+    before the sub-space rule: rq decodes every item."""
+    codes = index.codes.codes
+    if index.mode == "rq":
+        # Stages overlap, so their cross terms do not vanish.
+        recon = decode(codes, index.dir_codebooks, index.layout)
+        return np.einsum("ij,ij->i", recon, recon)
+    dir_sq = np.zeros(codes.shape[0])
+    for j, cb in enumerate(index.dir_codebooks):
+        sq = np.einsum("ij,ij->i", cb.codewords, cb.codewords)
+        dir_sq += sq.take(codes[:, index.m_prime + j])
+    if index.m_prime == 0:
+        return dir_sq
+    l_total = np.zeros(codes.shape[0])
+    for s, cb in enumerate(index.norm_codebooks):
+        l_total += cb.values.take(codes[:, s])
+    return l_total * l_total * dir_sq
+
+
 def build_stage_table(q: np.ndarray, codebooks: tuple[Codebook, ...]) -> ADCTable:
     """Residual-quantizer variant: ``tables[s][i] = <q, c_{s,i}>`` with the
     full-dimension query."""

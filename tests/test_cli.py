@@ -3,10 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from fneq.cli import main
+from fneq.cli import _build_parser, main
+from fneq.clustering import ClusteringParams
 from fneq.io import load_csv, save_csv, save_fvecs
 from fneq.neq import top_k
 from fneq.persist import load_index
+from fneq.tuner import GAConfig
 
 from conftest import make_mips_data
 
@@ -19,6 +21,7 @@ def workspace(tmp_path):
     save_csv(tmp_path / "items.csv", items)
     save_csv(tmp_path / "queries.csv", queries)
     save_fvecs(tmp_path / "items.fvecs", items)
+    (tmp_path / "not_utf8.csv").write_bytes(b"1,2\n3,\xff4\n")
     return tmp_path, items, queries
 
 
@@ -138,17 +141,22 @@ class TestQuery:
     def test_distance_ranking_matches_top_k(self, workspace):
         tmp, _, _ = workspace
         self.build(tmp)
-        assert run(["query", "--index", tmp / "idx.fneq", "--queries", tmp / "queries.csv",
-                    "--k", 7, "--ranking", "distance", "--out", tmp / "dist.csv"]) == 0
-        index = load_index(tmp / "idx.fneq")
+        for mode in ("pq", "rq"):
+            assert run(["train", "--data", tmp / "items.csv", "--mode", mode, "--m", 3,
+                        "--k-star", 8, "--out", tmp / f"{mode}.fneq"]) == 0
         queries = load_csv(tmp / "queries.csv")
-        with open(tmp / "dist.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert len(rows) == 7 * len(queries)
-        for qi, q in enumerate(queries):
-            ids, _ = top_k(q, index, 7, ranking="distance")
-            got = [int(r[2]) for r in rows if int(r[0]) == qi]
-            assert got == ids.tolist()
+        for name in ("idx", "pq", "rq"):
+            assert run(["query", "--index", tmp / f"{name}.fneq", "--queries", tmp / "queries.csv",
+                        "--k", 7, "--ranking", "distance", "--out", tmp / "dist.csv"]) == 0
+            index = load_index(tmp / f"{name}.fneq")
+            with open(tmp / "dist.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == 7 * len(queries)
+            for qi, q in enumerate(queries):
+                ids, scores = top_k(q, index, 7, ranking="distance")
+                got = [r for r in rows if int(r[0]) == qi]
+                assert [int(r[2]) for r in got] == ids.tolist()
+                assert [r[3] for r in got] == [f"{s:.9g}" for s in scores]
 
     def test_header_n_disagreeing_with_codes_is_exit_2(self, workspace):
         tmp, _, _ = workspace
@@ -356,6 +364,12 @@ class TestExitCodes:
             "fneq train: m=2 must exceed m_prime=2"),
         "train-pq-k-star-0": (
             NO_DATA_TRAIN + ["--k-star", 0], 1, "fneq train: k_star must be at least 1"),
+        "train-data-not-utf8": (
+            ["train", "--data", "{tmp}/not_utf8.csv", "--mode", "pq", "--m", 1, "--k-star", 1,
+             "--out", "{tmp}/new.fneq"], 2, "fneq train: data error: "),
+        "query-queries-not-utf8": (
+            ["query", "--index", "{tmp}/idx.fneq", "--queries", "{tmp}/not_utf8.csv"],
+            2, "fneq query: data error: "),
     }
 
     @pytest.mark.parametrize("argv,code,prefix", CASES.values(), ids=CASES.keys())
@@ -373,3 +387,16 @@ class TestExitCodes:
         assert err.startswith(prefix)
         assert "Traceback" not in err
         assert sorted(tmp.iterdir()) == before
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = _build_parser()
+    train = parser.parse_args(["train", "--data", "d.csv", "--mode", "pq", "--m", "1",
+                               "--k-star", "1", "--out", "x.fneq"])
+    params = ClusteringParams()
+    assert (train.xi1, train.xi2, train.epsilon, train.max_iters) == (
+        params.xi_lower, params.xi_upper, params.epsilon, params.max_iters)
+    tune = parser.parse_args(["tune", "--data", "d.csv", "--out-grid", "g.csv"])
+    config = GAConfig()
+    assert (tuple(tune.bounds), tune.population, tune.generations) == (
+        config.bounds, config.population, config.generations)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from fneq.errors import InvalidInputError
 from fneq.io import load_csv, load_fvecs, load_matrix, save_csv, save_fvecs
@@ -74,3 +79,49 @@ def test_load_matrix_dispatch(tmp_path):
     assert load_matrix(path, "csv").shape == (2, 2)
     with pytest.raises(InvalidInputError):
         load_matrix(path, "parquet")
+
+
+def valid_bytes(fmt: str) -> bytes:
+    """A 6 x 3 matrix as written by the saver of ``fmt``."""
+    matrix = np.random.default_rng(0).normal(size=(6, 3)).astype(np.float32)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"m.{fmt}"
+        (save_fvecs if fmt == "fvecs" else save_csv)(path, matrix)
+        return path.read_bytes()
+
+
+byte_edits = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.just(b"")),
+    st.tuples(st.just("overwrite"), st.integers(min_value=0), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("insert"), st.integers(min_value=0), st.binary(min_size=1, max_size=8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from(["csv", "fvecs"]), edit=byte_edits)
+@example(fmt="csv", edit=("overwrite", 3, b"\xff"))
+@example(fmt="csv", edit=("insert", 0, b"\xc3"))
+@example(fmt="fvecs", edit=("overwrite", 4, b"\x00\x00\xc0\x7f"))
+def test_edited_file_loads_finite_or_is_invalid(fmt, edit):
+    """Any truncation, overwrite or insertion of bytes in a valid file
+    loads to a finite 2-D float64 matrix or raises ``InvalidInputError``."""
+    raw = bytearray(valid_bytes(fmt))
+    kind, at, data = edit
+    at %= len(raw) + 1
+    if kind == "truncate":
+        raw = raw[:at]
+    elif kind == "overwrite":
+        raw[at : at + len(data)] = data
+    else:
+        raw[at:at] = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"edited.{fmt}"
+        path.write_bytes(raw)
+        try:
+            matrix = load_matrix(path, fmt)
+        except InvalidInputError:
+            event(f"{fmt} {kind}: invalid")
+            return
+    event(f"{fmt} {kind}: loaded")
+    assert matrix.ndim == 2 and matrix.dtype == np.float64
+    assert np.all(np.isfinite(matrix))

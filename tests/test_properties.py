@@ -30,6 +30,7 @@ from fneq.neq import (
     IndexArtifact,
     IndexMetadata,
     estimate_inner_product,
+    item_sq_norms,
     query_tables,
     reencode,
     scan_scores,
@@ -513,6 +514,52 @@ def test_scan_equals_per_item_estimate_bit_for_bit(index, q_seed, data):
     np.testing.assert_array_equal(scan_scores(q, index), expected)
     limit = data.draw(st.integers(0, index.n), label="limit")
     np.testing.assert_array_equal(scan_scores(q, index, limit=limit), expected[:limit])
+
+
+@st.composite
+def sized_artifacts(draw):
+    """A valid artifact of any mode, rq with 1-8 stages, each codebook of
+    its own size and scale."""
+    mode = draw(st.sampled_from(MODES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m_prime = draw(st.integers(1, 2)) if mode in ("neq_kmeans", "fuzzy2_neq") else 0
+    n_dir = draw(st.integers(1, 8 if mode == "rq" else 4))
+    m = m_prime + n_dir
+    sizes = draw(st.lists(st.one_of(st.integers(1, 20), st.sampled_from([256, 257, 300])),
+                          min_size=m, max_size=m))
+    d_star = draw(st.integers(1, 4))
+    m_dir = 1 if mode == "rq" else n_dir
+    n = draw(st.integers(0, 40))
+    norm_cbs = tuple(
+        NormCodebook(np.sort(rng.uniform(0.0 if s == 0 else -1.0, 3.0, sizes[s])), signed=s > 0)
+        for s in range(m_prime)
+    )
+    dir_cbs = tuple(Codebook(rng.normal(size=(k, d_star)) * 10.0 ** rng.integers(-3, 4))
+                    for k in sizes[m_prime:])
+    return IndexArtifact(
+        mode=mode,
+        layout=SubVectorLayout(D=m_dir * d_star, m_dir=m_dir),
+        norm_codebooks=norm_cbs,
+        dir_codebooks=dir_cbs,
+        codes=CodeMatrix(rng.integers(0, sizes, size=(n, m)), k_stars=sizes),
+        metadata=IndexMetadata(D=m_dir * d_star, n=n, m=m, m_prime=m_prime,
+                               k_star=max(sizes), seed=0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=sized_artifacts())
+def test_item_sq_norms_equal_reference(index):
+    """pq and the NEQ modes give the reference's bytes; rq's Gram tables
+    sum the decoded norm in another order, so it agrees to rounding on the
+    scale of its codewords (the norm can cancel to far below them)."""
+    event(index.mode)
+    got, want = item_sq_norms(index), oracles.item_sq_norms_reference(index)
+    if index.mode != "rq":
+        assert got.tobytes() == want.tobytes()
+        return
+    scale = sum(float(np.max(np.linalg.norm(cb.codewords, axis=1))) for cb in index.dir_codebooks)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale**2)
 
 
 tied_scores = st.lists(

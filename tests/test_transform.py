@@ -4,11 +4,11 @@ import pytest
 from fneq.core import Dataset
 from fneq.errors import DomainError
 from fneq.transform import (
+    AugmentedSpace,
     augment_item,
     augment_items,
     augment_queries,
     augment_query,
-    augmented_space,
     max_norm,
 )
 
@@ -101,5 +101,5 @@ class TestNnsEquivalence:
 
     def test_space_summary(self):
         data = Dataset([[3.0, 4.0]])
-        space = augmented_space(data)
+        space = AugmentedSpace(phi=max_norm(data), D_aug=data.dim + 1)
         assert space.phi == 5.0 and space.D_aug == 3
