@@ -31,7 +31,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def thread_cap() -> int:
-    """Threads that fit per-sub-space codebooks and re-encode row blocks, from ``FNEQ_THREADS``.
+    """Threads for sub-space fits, re-encode blocks and tuner grid pairs, from ``FNEQ_THREADS``.
 
     ``0`` or unset means the CPUs this process may run on (its affinity
     mask where the platform reports one). Raises ``InvalidInputError``

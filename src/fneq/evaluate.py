@@ -22,6 +22,7 @@ from .core import Dataset, QuerySet, _frozen
 from .core import thread_cap  # noqa: F401  (kept here: bench/run.py records it)
 from .errors import InvalidInputError
 from .neq import IndexArtifact, reencode, scan_scores, select_top_k, train_index
+from .persist import _atomic_open
 
 #: Item counts used for recall curves when the dataset is large enough.
 DEFAULT_ITEM_COUNTS = (2048, 4096, 8192, 16384, 32768)
@@ -270,7 +271,7 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
 
 def write_metrics_csv(path, reports) -> None:
     """One row per report: method,dataset,items,recall,precision,f1,time_s,std."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, "x", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for rep in reports:
@@ -290,7 +291,7 @@ def write_metrics_csv(path, reports) -> None:
 
 def write_curve_csv(path, curve) -> None:
     """Curve rows: items,recall."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, "x", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_HEADER)
         for count, value in curve:

@@ -57,14 +57,14 @@ def save_fvecs(path: str | os.PathLike, matrix: np.ndarray) -> None:
 
 
 def load_csv(path: str | os.PathLike) -> np.ndarray:
-    """Read a CSV with one numeric row per item.
+    """Read a CSV with one numeric row per item, after any UTF-8 byte-order mark.
 
     An empty file yields an empty ``(0, 0)`` matrix (valid for query sets
     only); ragged rows are rejected, and so is a byte that is not UTF-8:
     it reads as a lone surrogate, which no number parses.
     """
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from itertools import accumulate
 
 import numpy as np
@@ -64,10 +65,18 @@ def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
     chunks = [header]
     for a, (dtype, shape) in zip((norms, dirs, index.codes.codes.T), blocks):
         chunks.append(np.asarray(a, dtype=dtype).reshape(shape).tobytes())
-    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    with _atomic_open(path, "xb") as fh:
+        fh.writelines(chunks)
+
+
+@contextmanager
+def _atomic_open(path: str | os.PathLike, mode: str, **kwargs):
+    """A new temporary file beside ``path`` that replaces it once the block completes."""
+    path = os.path.realpath(path)  # through a symlink, replace its target and keep the link
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(tmp, "xb") as fh:
-            fh.writelines(chunks)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

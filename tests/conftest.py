@@ -27,6 +27,11 @@ def make_gaussian_mixture(n, dim, centers, seed=0, spread=0.15):
     return means[labels] + rng.normal(scale=spread, size=(n, dim)), labels
 
 
+def convex_toy(x1, x2):
+    """A tuner objective with its minimum at the published interval (8.5, 9.1)."""
+    return (x1 - 8.5) ** 2 + (x2 - 9.1) ** 2
+
+
 @pytest.fixture
 def small_dataset():
     return Dataset(make_mips_data(300, 16, seed=11))

@@ -57,6 +57,7 @@ from fneq.quantizers import (
     decode,
     encode_batch,
 )
+from fneq.tuner import _repaired
 
 
 def brute_force_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -621,3 +622,17 @@ def train_index_reference(
             D=dataset.dim, n=dataset.n, m=m, m_prime=m_prime, k_star=k_star, seed=params.seed
         ),
     )
+
+
+def xi_grid_reference(objective, bounds: tuple[float, float], steps: int = 12) -> np.ndarray:
+    """``tuner.xi_grid`` as a plain loop: every cell in row-major order,
+    one after another, mirrored cells evaluated twice."""
+    if steps < 2:
+        raise InvalidInputError("steps must be at least 2")
+    wrapped = _repaired(objective)
+    axis = np.linspace(bounds[0], bounds[1], steps)
+    rows = []
+    for x1 in axis:
+        for x2 in axis:
+            rows.append((x1, x2, wrapped((x1, x2))))
+    return np.asarray(rows)

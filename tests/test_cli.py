@@ -279,6 +279,23 @@ class TestTune:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_grid_file_and_best_line_identical_at_one_and_two_threads(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        save_csv(tmp_path / "points.csv", np.random.default_rng(7).normal(size=(60, 4)))
+        outputs = []
+        for cap in (1, 2):
+            monkeypatch.setenv("FNEQ_THREADS", str(cap))
+            grid = tmp_path / f"grid{cap}.csv"
+            assert run(["tune", "--data", tmp_path / "points.csv", "--k-star", 3,
+                        "--population", 4, "--generations", 2, "--grid-steps", 4,
+                        "--out-grid", grid]) == 0
+            best = capsys.readouterr().out.splitlines()[0]
+            assert best.startswith("best xi1=")
+            outputs.append((best, grid.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].splitlines()) == 17
+
     def test_empty_data_is_exit_2_as_for_train(self, tmp_path, capsys):
         (tmp_path / "empty.csv").write_text("")
         assert run(["tune", "--data", tmp_path / "empty.csv",
@@ -387,6 +404,16 @@ class TestExitCodes:
         assert err.startswith(prefix)
         assert "Traceback" not in err
         assert sorted(tmp.iterdir()) == before
+
+    def test_train_on_csv_with_byte_order_mark_exits_0(self, workspace):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark;
+        it trains the index the same file without the mark does."""
+        tmp, _, _ = workspace
+        (tmp / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp / "items.csv").read_bytes())
+        for name in ("items", "bom"):
+            assert run(["train", "--data", tmp / f"{name}.csv", "--mode", "pq", "--m", 3,
+                        "--k-star", 8, "--out", tmp / f"{name}.fneq"]) == 0
+        assert (tmp / "bom.fneq").read_bytes() == (tmp / "items.fneq").read_bytes()
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -66,6 +66,13 @@ class TestCsv:
         with pytest.raises(InvalidInputError):
             load_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        (tmp_path / "plain.csv").write_bytes(b"1,2\n3,4\n")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        plain = load_csv(tmp_path / "plain.csv")
+        np.testing.assert_array_equal(load_csv(tmp_path / "bom.csv"), plain)
+        assert plain.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "text.csv"
         path.write_text("1,apple\n")

@@ -1,6 +1,7 @@
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +15,20 @@ from dataclasses import replace
 from fneq.clustering import ClusteringParams
 from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout
 from fneq.errors import CorruptionError, InvalidInputError
+from fneq.evaluate import write_curve_csv, write_metrics_csv
 from fneq.neq import IndexArtifact, IndexMetadata, scan_scores, select_top_k, train_index
 from fneq.persist import MAGIC, load_index, save_index
+from fneq.tuner import write_grid_csv
 
 from conftest import make_mips_data
+
+#: The fields ``write_metrics_csv`` reads from a report.
+METRICS_ROW = SimpleNamespace(method="pq", dataset_label="toy", items=10, recall_mean=0.5,
+                              precision_mean=0.5, f1_mean=0.5, time_mean=0.1, recall_std=0.0)
+
+
+def replace_ns(ns: SimpleNamespace, **changes) -> SimpleNamespace:
+    return SimpleNamespace(**{**vars(ns), **changes})
 
 
 def trained(mode, m, m_prime, seed, n=80, dim=12, k_star=8):
@@ -107,6 +118,30 @@ class TestAtomicSave:
             save_index(path, trained("pq", 3, 0, seed=10))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.fneq"]
+
+    @pytest.mark.parametrize("write,good,bad", [
+        (write_grid_csv, [(5.0, 6.0, 7.0)], [(2.0, 3.0, 1.5), (3.0, 3.0, "nan?")]),
+        (write_curve_csv, [(40, 0.25)], [(10, 0.5), (20, "nan?")]),
+        (write_metrics_csv, [replace_ns(METRICS_ROW, method="rq")],
+         [METRICS_ROW, replace_ns(METRICS_ROW, f1_mean="?")]),
+    ], ids=["grid", "curve", "metrics"])
+    def test_failed_csv_write_keeps_existing_file_and_no_temporary(self, tmp_path, write, good,
+                                                                   bad):
+        path = tmp_path / "out.csv"
+        write(path, good)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write(path, bad)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_write_through_a_symlink_replaces_its_target_and_keeps_the_link(self, tmp_path):
+        (tmp_path / "real.csv").write_text("old\n")
+        (tmp_path / "out.csv").symlink_to("real.csv")
+        write_curve_csv(tmp_path / "out.csv", [(10, 0.5)])
+        assert (tmp_path / "out.csv").is_symlink()
+        assert (tmp_path / "real.csv").read_bytes() == b"items,recall\r\n10,0.500000\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "real.csv"]
 
     @pytest.mark.parametrize("part", ["norm", "dir"])
     def test_codebook_off_k_star_is_rejected_before_writing(self, tmp_path, part):

@@ -1,10 +1,13 @@
-"""``FNEQ_THREADS`` and the work it caps, the per-sub-space codebook fits
-and ``reencode``'s row blocks: the cap itself, byte-identical indexes at
-every cap and block split, worker errors and the pool the fits run on."""
+"""``FNEQ_THREADS`` and the work it caps, the per-sub-space codebook fits,
+``reencode``'s row blocks and the tuner's grid: the cap itself,
+byte-identical indexes and grids at every cap and block split, worker
+errors and the pool the fits run on."""
 
 import os
+import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from fneq.errors import InvalidInputError
 from fneq.neq import _BLOCK, _encode, reencode, train_index
 from fneq.persist import save_index
 from fneq.quantizers import _subseeds
+from fneq.tuner import make_quantization_mse_objective, xi_grid
 
-from conftest import make_mips_data
+from conftest import convex_toy, make_gaussian_mixture, make_mips_data
+from oracles import xi_grid_reference
 
 #: (mode, m, m_prime, direction sub-spaces)
 CONFIGS = [
@@ -180,3 +185,86 @@ def test_first_failing_block_raises_its_own_error(monkeypatch, cap):
     monkeypatch.setattr(fneq.neq, "_encode", failing)
     with pytest.raises(InvalidInputError, match="^block 1 failed$"):
         reencode(index, Dataset(items))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("steps", range(2, 8))
+def test_grid_equals_reference_on_convex_toy(monkeypatch, cap, steps):
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    grid = xi_grid(convex_toy, (2.0, 12.0), steps)
+    assert grid.tobytes() == xi_grid_reference(convex_toy, (2.0, 12.0), steps).tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_grid_equals_reference_on_mse_objective(monkeypatch, cap):
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    points, _ = make_gaussian_mixture(90, 3, centers=4, seed=5)
+    objective = make_quantization_mse_objective(
+        points, k_star=4, params=ClusteringParams(seed=5, max_iters=15)
+    )
+    grid = xi_grid(objective, (1.5, 6.0), steps=4)
+    assert grid.tobytes() == xi_grid_reference(objective, (1.5, 6.0), steps=4).tobytes()
+
+
+def test_grid_on_more_threads_than_cores_with_fast_switching_equals_reference(monkeypatch):
+    """The MSE objective shares its split and parameters between the grid's
+    threads; switching threads every few microseconds must not change a cost."""
+    monkeypatch.setenv("FNEQ_THREADS", "8")
+    points, _ = make_gaussian_mixture(90, 3, centers=4, seed=6)
+    objective = make_quantization_mse_objective(
+        points, k_star=4, params=ClusteringParams(seed=6, max_iters=15)
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        grid = xi_grid(objective, (1.5, 6.0), steps=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert grid.tobytes() == xi_grid_reference(objective, (1.5, 6.0), steps=5).tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("steps", [2, 5, 8])
+def test_grid_calls_each_unordered_pair_once_on_cap_pool_threads(monkeypatch, cap, steps):
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    lock = threading.Lock()
+    calls, threads = Counter(), set()
+
+    def spy(x1, x2):
+        with lock:
+            calls[x1, x2] += 1
+            threads.add(threading.get_ident())
+        time.sleep(0.001)
+        return convex_toy(x1, x2)
+
+    xi_grid(spy, (2.0, 12.0), steps)
+    axis = [float(v) for v in np.linspace(2.0, 12.0, steps)]
+    pairs = {(a, b) for a in axis for b in axis if a <= b}
+    assert sum(calls.values()) == steps * (steps + 1) // 2
+    assert calls == Counter(pairs)
+    assert threading.get_ident() not in threads
+    assert 1 <= len(threads) <= cap
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_first_failing_grid_pair_raises_the_reference_error(monkeypatch, cap):
+    """Pairs (axis[1], axis[3]) and (axis[2], axis[2]) fail, the first after a
+    short wait: both grids raise the error of the first in row-major order."""
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    axis = np.linspace(2.0, 12.0, 5)
+
+    def failing(x1, x2):
+        if (x1, x2) == (axis[1], axis[3]):
+            time.sleep(0.05)
+            raise ArithmeticError("late failure")
+        if (x1, x2) == (axis[2], axis[2]):
+            raise ArithmeticError("early failure")
+        return convex_toy(x1, x2)
+
+    errors = []
+    for grid in (xi_grid, xi_grid_reference):
+        with pytest.raises(RuntimeError) as exc:
+            grid(failing, (2.0, 12.0), 5)
+        errors.append((str(exc.value), str(exc.value.__cause__)))
+    assert errors[0] == errors[1]
+    assert errors[0] == ("objective failed at genome (xi1=4.5, xi2=9.5)", "late failure")
