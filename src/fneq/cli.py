@@ -8,9 +8,9 @@ prints ``fneq <command>: <message>`` to stderr, with ``data error: `` or
 ``training error: `` before the message for codes 2 and 3.
 
 ``FNEQ_THREADS`` caps the threads that fit the per-sub-space codebooks
-of pq, neq_kmeans and fuzzy2_neq and that re-encode row blocks (0 or
-unset: the CPUs available); output is bit-identical at every cap, and a
-value that is not a non-negative integer exits 1. RQ stages and queries
+of pq, neq_kmeans and fuzzy2_neq, re-encode row blocks and evaluate the
+tuner's grid (0 or unset: the CPUs available); output is bit-identical
+at every cap, and a value that is not a non-negative integer exits 1. RQ stages and queries
 stay single-threaded. Pinning ``OPENBLAS_NUM_THREADS=1`` avoids oversubscription.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -177,18 +177,15 @@ def _cmd_query(args) -> int:
         raise _Exit(EXIT_USAGE, f"--k must lie in [1, {index.n}]")
 
     with _exits(EXIT_DATA, OSError):
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
+        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh)
         writer.writerow(("query_id", "rank", "item_id", "score"))
         sq_norms = item_sq_norms(index) if args.ranking == "distance" else None
         for qi, q in enumerate(queries):
             ids, scores = _ranked(q, index, args.k, sq_norms)
             for rank, (item, score) in enumerate(zip(ids, scores), start=1):
                 writer.writerow((qi, rank, int(item), f"{score:.9g}"))
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,9 @@ from .errors import InvalidInputError, ZeroNormError
 
 #: Widest supported codeword index (codes are stored as u8 or u16).
 MAX_CODEWORDS = 65535
+
+#: ``nested`` is set on the threads of a pool whose tasks may open pools of their own.
+_pool = threading.local()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -35,8 +39,11 @@ def thread_cap() -> int:
 
     ``0`` or unset means the CPUs this process may run on (its affinity
     mask where the platform reports one). Raises ``InvalidInputError``
-    for a value that is not a non-negative integer.
+    for a value that is not a non-negative integer. On a thread of the
+    tuner's grid it is 1: pools opened there share the grid's cap.
     """
+    if getattr(_pool, "nested", False):
+        return 1
     raw = os.environ.get("FNEQ_THREADS", "0").strip() or "0"
     try:
         cap = int(raw)

@@ -275,18 +275,8 @@ def write_metrics_csv(path, reports) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for rep in reports:
-            writer.writerow(
-                [
-                    rep.method,
-                    rep.dataset_label,
-                    rep.items,
-                    f"{rep.recall_mean:.6f}",
-                    f"{rep.precision_mean:.6f}",
-                    f"{rep.f1_mean:.6f}",
-                    f"{rep.time_mean:.6f}",
-                    f"{rep.recall_std:.6f}",
-                ]
-            )
+            stats = (rep.recall_mean, rep.precision_mean, rep.f1_mean, rep.time_mean, rep.recall_std)
+            writer.writerow([rep.method, rep.dataset_label, rep.items, *(f"{v:.6f}" for v in stats)])
 
 
 def write_curve_csv(path, curve) -> None:

@@ -71,7 +71,12 @@ def save_index(path: str | os.PathLike, index: IndexArtifact) -> None:
 
 @contextmanager
 def _atomic_open(path: str | os.PathLike, mode: str, **kwargs):
-    """A new temporary file beside ``path`` that replaces it once the block completes."""
+    """A new temporary file beside ``path`` that replaces it once the block completes;
+    a target that exists and is not a regular file (a device, a pipe) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode.replace("x", "w"), **kwargs) as fh:
+            yield fh
+        return
     path = os.path.realpath(path)  # through a symlink, replace its target and keep the link
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:

@@ -23,7 +23,7 @@ from scipy.optimize import differential_evolution
 
 from .aggregation import FuzzyMeasure, fuse_codebooks
 from .clustering import ClusteringParams, it2fpcm
-from .core import Dataset, QuerySet, thread_cap
+from .core import Dataset, QuerySet, _pool, thread_cap
 from .errors import InvalidInputError
 from .evaluate import exact_topk, recall
 from .neq import top_k, train_index
@@ -132,14 +132,15 @@ def xi_grid(objective, bounds: tuple[float, float], steps: int = 12) -> np.ndarr
     """Evaluate the (repaired) objective on a square grid; rows are
     ``(xi1, xi2, cost)`` in row-major order for the heat-map export. The
     objective runs once per unordered pair, on up to ``thread_cap()`` threads,
-    so it must be thread-safe; the first failing pair in row-major order raises."""
+    so it must be thread-safe; pools it opens run on one thread. The first
+    failing pair in row-major order raises."""
     if steps < 2:
         raise InvalidInputError("steps must be at least 2")
     wrapped = _repaired(objective)
     axis = np.linspace(bounds[0], bounds[1], steps)
     i, j = np.triu_indices(steps)
     cost = np.empty((steps, steps))
-    with ThreadPoolExecutor(max_workers=thread_cap()) as ex:
+    with ThreadPoolExecutor(thread_cap(), initializer=setattr, initargs=(_pool, "nested", 1)) as ex:
         cost[i, j] = cost[j, i] = list(ex.map(wrapped, zip(axis[i], axis[j])))
     return np.column_stack([np.repeat(axis, steps), np.tile(axis, steps), cost.ravel()])
 

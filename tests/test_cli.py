@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fneq
 
 from fneq.cli import _build_parser, main
 from fneq.clustering import ClusteringParams
@@ -295,6 +301,20 @@ class TestTune:
             outputs.append((best, grid.read_bytes()))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1].splitlines()) == 17
+
+    def test_grid_to_stdout_on_a_pipe(self, tmp_path):
+        save_csv(tmp_path / "points.csv", np.random.default_rng(7).normal(size=(60, 4)))
+        env = dict(os.environ, PYTHONPATH=str(Path(fneq.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fneq.cli", "tune", "--data", str(tmp_path / "points.csv"),
+             "--k-star", "3", "--population", "4", "--generations", "2", "--grid-steps", "3",
+             "--out-grid", "/dev/stdout"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.decode().splitlines()
+        assert lines[0] == "xi1,xi2,cost" and len(lines) == 12
+        assert lines[-2].startswith("best xi1=") and lines[-1] == "wrote /dev/stdout"
 
     def test_empty_data_is_exit_2_as_for_train(self, tmp_path, capsys):
         (tmp_path / "empty.csv").write_text("")

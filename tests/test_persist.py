@@ -1,5 +1,8 @@
+import os
+import stat
 import struct
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -142,6 +145,23 @@ class TestAtomicSave:
         assert (tmp_path / "out.csv").is_symlink()
         assert (tmp_path / "real.csv").read_bytes() == b"items,recall\r\n10,0.500000\r\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "real.csv"]
+
+    def test_grid_to_the_null_device_leaves_it_a_character_device(self):
+        write_grid_csv(os.devnull, [(2.0, 3.0, 1.5)])
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_grid_to_a_fifo_is_written_in_place(self, tmp_path):
+        write_grid_csv(tmp_path / "regular.csv", [(2.0, 3.0, 1.5), (3.0, 3.0, 0.5)])
+        os.mkfifo(tmp_path / "fifo")
+        received = []
+        reader = threading.Thread(target=lambda: received.append((tmp_path / "fifo").read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_grid_csv(tmp_path / "fifo", [(2.0, 3.0, 1.5), (3.0, 3.0, 0.5)])
+        reader.join(timeout=10)
+        assert received == [(tmp_path / "regular.csv").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular.csv"]
 
     @pytest.mark.parametrize("part", ["norm", "dir"])
     def test_codebook_off_k_star_is_rejected_before_writing(self, tmp_path, part):

@@ -15,12 +15,12 @@ import pytest
 import fneq.neq
 import fneq.quantizers
 from fneq.clustering import ClusteringParams
-from fneq.core import Dataset, pad_to_multiple, thread_cap
+from fneq.core import Dataset, QuerySet, pad_to_multiple, thread_cap
 from fneq.errors import InvalidInputError
 from fneq.neq import _BLOCK, _encode, reencode, train_index
 from fneq.persist import save_index
 from fneq.quantizers import _subseeds
-from fneq.tuner import make_quantization_mse_objective, xi_grid
+from fneq.tuner import make_quantization_mse_objective, make_recall_objective, xi_grid
 
 from conftest import convex_toy, make_gaussian_mixture, make_mips_data
 from oracles import xi_grid_reference
@@ -204,6 +204,31 @@ def test_grid_equals_reference_on_mse_objective(monkeypatch, cap):
     )
     grid = xi_grid(objective, (1.5, 6.0), steps=4)
     assert grid.tobytes() == xi_grid_reference(objective, (1.5, 6.0), steps=4).tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_pools_opened_on_the_grid_get_one_thread(monkeypatch, cap):
+    """The recall objective trains an index, whose fit and re-encode pools
+    open on the grid's threads: there ``thread_cap()`` is 1, so the grid's
+    cap bounds the whole search, and the grid still equals the reference."""
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    data = Dataset(make_mips_data(120, 8, seed=8))
+    queries = QuerySet(np.random.default_rng(8).normal(size=(4, 8)))
+    trains = make_recall_objective(
+        data, queries, 3, 1, 4, ClusteringParams(seed=8, max_iters=10), truth_depth=5
+    )
+    lock = threading.Lock()
+    caps = []
+
+    def objective(x1, x2):
+        with lock:
+            caps.append(thread_cap())
+        return trains(x1, x2)
+
+    grid = xi_grid(objective, (1.5, 6.0), steps=3)
+    assert caps == [1] * 6
+    assert thread_cap() == cap
+    assert grid.tobytes() == xi_grid_reference(trains, (1.5, 6.0), steps=3).tobytes()
 
 
 def test_grid_on_more_threads_than_cores_with_fast_switching_equals_reference(monkeypatch):
