@@ -7,11 +7,11 @@ corrupt index files, failed writes), 3 training failures. A failure
 prints ``fneq <command>: <message>`` to stderr, with ``data error: `` or
 ``training error: `` before the message for codes 2 and 3.
 
-``FNEQ_THREADS`` caps the threads that fit the per-sub-space codebooks
-of pq, neq_kmeans and fuzzy2_neq, re-encode row blocks and evaluate the
-tuner's grid (0 or unset: the CPUs available); output is bit-identical
-at every cap, and a value that is not a non-negative integer exits 1. RQ stages and queries
-stay single-threaded. Pinning ``OPENBLAS_NUM_THREADS=1`` avoids oversubscription.
+Every thread pool (sub-space codebook fits, re-encode row blocks, the
+tuner's grid) is capped by ``FNEQ_THREADS`` (0 or unset: the CPUs
+available), and pools never nest; output is bit-identical at every cap,
+and a value that is not a non-negative integer exits 1. RQ stages and
+queries stay single-threaded. Pinning ``OPENBLAS_NUM_THREADS=1`` avoids oversubscription.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .evaluate import (
     write_metrics_csv,
 )
 from .neq import MODES, _check_training, _ranked, item_sq_norms, train_index
-from .persist import load_index, save_index
+from .persist import _atomic_open, load_index, save_index
 from .tuner import (
     GAConfig,
     ga_optimize,
@@ -176,9 +176,8 @@ def _cmd_query(args) -> int:
     if args.k < 1 or args.k > index.n:
         raise _Exit(EXIT_USAGE, f"--k must lie in [1, {index.n}]")
 
-    with _exits(EXIT_DATA, OSError):
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-    with out as fh:
+    out = _atomic_open(args.out, "x", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with _exits(EXIT_DATA, OSError), out as fh:
         writer = csv.writer(fh)
         writer.writerow(("query_id", "rank", "item_id", "score"))
         sq_norms = item_sq_norms(index) if args.ranking == "distance" else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import InvalidInputError, ZeroNormError
 #: Widest supported codeword index (codes are stored as u8 or u16).
 MAX_CODEWORDS = 65535
 
-#: ``nested`` is set on the threads of a pool whose tasks may open pools of their own.
+#: ``nested`` is set on the threads of every ``_thread_map`` pool.
 _pool = threading.local()
 
 
@@ -35,12 +36,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def thread_cap() -> int:
-    """Threads for sub-space fits, re-encode blocks and tuner grid pairs, from ``FNEQ_THREADS``.
+    """Threads of every pool (fits, re-encode blocks, grid pairs), from ``FNEQ_THREADS``.
 
     ``0`` or unset means the CPUs this process may run on (its affinity
     mask where the platform reports one). Raises ``InvalidInputError``
-    for a value that is not a non-negative integer. On a thread of the
-    tuner's grid it is 1: pools opened there share the grid's cap.
+    for a value that is not a non-negative integer. On a pool's thread it
+    is 1, so pools never nest: a pool opened there runs on one thread.
     """
     if getattr(_pool, "nested", False):
         return 1
@@ -56,6 +57,14 @@ def thread_cap() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _thread_map(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))`` on up to ``thread_cap()`` threads: results
+    in order, and the first failing call's exception raised as is (``map``
+    cancels the calls not yet started)."""
+    with ThreadPoolExecutor(thread_cap(), initializer=setattr, initargs=(_pool, "nested", True)) as ex:
+        return list(ex.map(fn, *iterables))
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:

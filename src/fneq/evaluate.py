@@ -10,7 +10,6 @@ recall-vs-item-count curve.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 
@@ -22,7 +21,7 @@ from .core import Dataset, QuerySet, _frozen
 from .core import thread_cap  # noqa: F401  (kept here: bench/run.py records it)
 from .errors import InvalidInputError
 from .neq import IndexArtifact, reencode, scan_scores, select_top_k, train_index
-from .persist import _atomic_open
+from .persist import _write_csv
 
 #: Item counts used for recall curves when the dataset is large enough.
 DEFAULT_ITEM_COUNTS = (2048, 4096, 8192, 16384, 32768)
@@ -271,18 +270,14 @@ def bootstrap_eval(config: EvalConfig, iterations: int = 10, seed: int = 0) -> E
 
 def write_metrics_csv(path, reports) -> None:
     """One row per report: method,dataset,items,recall,precision,f1,time_s,std."""
-    with _atomic_open(path, "x", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for rep in reports:
-            stats = (rep.recall_mean, rep.precision_mean, rep.f1_mean, rep.time_mean, rep.recall_std)
-            writer.writerow([rep.method, rep.dataset_label, rep.items, *(f"{v:.6f}" for v in stats)])
+
+    def row(rep) -> list:
+        stats = (rep.recall_mean, rep.precision_mean, rep.f1_mean, rep.time_mean, rep.recall_std)
+        return [rep.method, rep.dataset_label, rep.items, *(f"{v:.6f}" for v in stats)]
+
+    _write_csv(path, METRICS_HEADER, map(row, reports))
 
 
 def write_curve_csv(path, curve) -> None:
     """Curve rows: items,recall."""
-    with _atomic_open(path, "x", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for count, value in curve:
-            writer.writerow([int(count), f"{value:.6f}"])
+    _write_csv(path, CURVE_HEADER, ([int(count), f"{value:.6f}"] for count, value in curve))

@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from .errors import InvalidInputError
+from .persist import _atomic_open
 
 _FVECS_DIM = np.dtype("<i4")
 _FVECS_VAL = np.dtype("<f4")
@@ -45,7 +46,7 @@ def load_fvecs(path: str | os.PathLike) -> np.ndarray:
 
 
 def save_fvecs(path: str | os.PathLike, matrix: np.ndarray) -> None:
-    """Write an ``(n, D)`` matrix to fvecs (float32 on disk)."""
+    """Write an ``(n, D)`` matrix to fvecs (float32 on disk) through ``_atomic_open``."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise InvalidInputError("expected a 2-D matrix with at least one column")
@@ -53,7 +54,8 @@ def save_fvecs(path: str | os.PathLike, matrix: np.ndarray) -> None:
     record = np.empty((n, 1 + dim), dtype=_FVECS_VAL)
     record[:, :1] = np.full((n, 1), dim, dtype=_FVECS_DIM).view(_FVECS_VAL)
     record[:, 1:] = matrix.astype(_FVECS_VAL)
-    record.tofile(path)
+    with _atomic_open(path, "xb") as fh:
+        fh.write(record)  # its raw C-order bytes, as ``record.tofile`` writes them
 
 
 def load_csv(path: str | os.PathLike) -> np.ndarray:
@@ -85,9 +87,10 @@ def load_csv(path: str | os.PathLike) -> np.ndarray:
 
 
 def save_csv(path: str | os.PathLike, matrix: np.ndarray) -> None:
-    """Write a matrix as bare CSV, one row per item."""
+    """Write a matrix as bare CSV, one row per item, through ``_atomic_open``."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
+    with _atomic_open(path, "x", encoding="utf-8") as fh:
+        np.savetxt(fh, matrix, delimiter=",", fmt="%.17g")
 
 
 def load_matrix(path: str | os.PathLike, fmt: str) -> np.ndarray:

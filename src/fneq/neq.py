@@ -34,15 +34,14 @@ sub-space, where the shared kernels sum them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .aggregation import FuzzyMeasure, fuse_codebooks
 from .clustering import ClusteringParams, _check_seed, encode_scalar, it2fpcm, kmeans_scalar
-from .core import (Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, row_norms,
-                   thread_cap)
+from .core import (Codebook, CodeMatrix, Dataset, NormCodebook, SubVectorLayout, _thread_map,
+                   row_norms)
 from .errors import CorruptionError, InvalidInputError
 from .quantizers import (
     ADCTable, _fit_codebooks, _kmeans_fit, build_adc_table, decode, encode_batch,
@@ -277,8 +276,8 @@ def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
 
     This is how a codebook fitted on a training sample indexes the full
     corpus, through the encoder that coded the training items. Blocks of
-    ``_BLOCK`` rows run on up to ``thread_cap()`` threads; with the codebooks
-    fixed every step of ``_encode`` is row by row, so neither changes a code.
+    ``_BLOCK`` rows run through ``_thread_map``; with the codebooks fixed
+    every step of ``_encode`` is row by row, so neither changes a code.
     """
     md = index.metadata
     if dataset.dim != md.D:
@@ -290,8 +289,7 @@ def reencode(index: IndexArtifact, dataset: Dataset) -> IndexArtifact:
             md.m_prime, lambda s, residual: index.norm_codebooks[s],
         )[1]
 
-    with ThreadPoolExecutor(max_workers=thread_cap()) as ex:
-        codes = np.concatenate(list(ex.map(block, range(0, dataset.n, _BLOCK))))
+    codes = np.concatenate(_thread_map(block, range(0, dataset.n, _BLOCK)))
     return replace(
         index,
         codes=CodeMatrix(codes, k_stars=index.codes.k_stars),

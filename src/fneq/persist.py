@@ -22,6 +22,7 @@ The header fixes the payload size; the loader checks it once, up front.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import struct
@@ -86,6 +87,14 @@ def _atomic_open(path: str | os.PathLike, mode: str, **kwargs):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _write_csv(path: str | os.PathLike, header, rows) -> None:
+    """``header`` and then ``rows`` as CSV, through ``_atomic_open``."""
+    with _atomic_open(path, "x", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _blocks(layout: SubVectorLayout, n: int, m: int, m_prime: int, k_star: int) -> list[tuple]:

@@ -6,13 +6,12 @@ included."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clustering import ClusteringParams, kmeans, squared_distances
-from .core import Codebook, CodeMatrix, Dataset, SubVectorLayout, thread_cap
+from .core import Codebook, CodeMatrix, Dataset, SubVectorLayout, _thread_map
 from .errors import CorruptionError, InvalidInputError
 
 
@@ -73,23 +72,18 @@ def _fit_codebooks(points: np.ndarray, count: int, layout: SubVectorLayout, fit,
     ``j % m_dir`` of the residual that earlier codebooks there leave
     (each point minus its nearest codeword), with ``_subseeds(seed, count)``.
 
-    Each round of ``m_dir`` fits runs on up to ``thread_cap()`` threads;
-    the fits are independent and release the GIL in their distance and
-    centroid kernels. Results come back in order and the first failing
-    fit's exception is raised as is, so the outcome does not depend on
-    the cap (``map`` cancels the fits not yet started).
+    Each round of ``m_dir`` independent fits runs through ``_thread_map``.
     """
     seeds = _subseeds(seed, count)
     slices = layout.slices()
     residual = points.copy() if count > layout.m_dir else points
     codebooks = []
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), layout.m_dir)) as ex:
-        for start in range(0, count, layout.m_dir):
-            if start:
-                for cb, sl in zip(codebooks[-layout.m_dir :], slices):
-                    residual[:, sl] -= cb.codewords[nearest_codes(residual[:, sl], cb)]
-            round_seeds = seeds[start : start + layout.m_dir]
-            codebooks += ex.map(lambda sl, s: fit(residual[:, sl], s), slices, round_seeds)
+    for start in range(0, count, layout.m_dir):
+        if start:
+            for cb, sl in zip(codebooks[-layout.m_dir :], slices):
+                residual[:, sl] -= cb.codewords[nearest_codes(residual[:, sl], cb)]
+        round_seeds = seeds[start : start + layout.m_dir]
+        codebooks += _thread_map(lambda sl, s: fit(residual[:, sl], s), slices, round_seeds)
     return codebooks
 
 

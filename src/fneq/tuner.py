@@ -8,14 +8,12 @@ best cost recorded per generation is monotone non-increasing.
 The default codebook objective is the mean squared quantization error of
 the fused fuzzy codebook on a held-out split; a recall-based objective
 is available but far slower. ``xi_grid`` calls either once per unordered
-pair, on up to ``thread_cap()`` threads.
+pair, through ``core._thread_map``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,11 +21,11 @@ from scipy.optimize import differential_evolution
 
 from .aggregation import FuzzyMeasure, fuse_codebooks
 from .clustering import ClusteringParams, it2fpcm
-from .core import Dataset, QuerySet, _pool, thread_cap
+from .core import Dataset, QuerySet, _thread_map
 from .errors import InvalidInputError
 from .evaluate import exact_topk, recall
 from .neq import top_k, train_index
-from .persist import _atomic_open
+from .persist import _write_csv
 from .quantizers import nearest_codes
 
 GRID_HEADER = ("xi1", "xi2", "cost")
@@ -131,26 +129,21 @@ def ga_optimize(objective, config: GAConfig) -> GAResult:
 def xi_grid(objective, bounds: tuple[float, float], steps: int = 12) -> np.ndarray:
     """Evaluate the (repaired) objective on a square grid; rows are
     ``(xi1, xi2, cost)`` in row-major order for the heat-map export. The
-    objective runs once per unordered pair, on up to ``thread_cap()`` threads,
-    so it must be thread-safe; pools it opens run on one thread. The first
-    failing pair in row-major order raises."""
+    objective runs once per unordered pair through ``_thread_map``, so it
+    must be thread-safe. The first failing pair in row-major order raises."""
     if steps < 2:
         raise InvalidInputError("steps must be at least 2")
     wrapped = _repaired(objective)
     axis = np.linspace(bounds[0], bounds[1], steps)
     i, j = np.triu_indices(steps)
     cost = np.empty((steps, steps))
-    with ThreadPoolExecutor(thread_cap(), initializer=setattr, initargs=(_pool, "nested", 1)) as ex:
-        cost[i, j] = cost[j, i] = list(ex.map(wrapped, zip(axis[i], axis[j])))
+    cost[i, j] = cost[j, i] = _thread_map(wrapped, zip(axis[i], axis[j]))
     return np.column_stack([np.repeat(axis, steps), np.tile(axis, steps), cost.ravel()])
 
 
 def write_grid_csv(path, grid: np.ndarray) -> None:
-    with _atomic_open(path, "x", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_HEADER)
-        for x1, x2, cost in grid:
-            writer.writerow([f"{x1:.6f}", f"{x2:.6f}", f"{cost:.10g}"])
+    rows = ([f"{x1:.6f}", f"{x2:.6f}", f"{cost:.10g}"] for x1, x2, cost in grid)
+    _write_csv(path, GRID_HEADER, rows)
 
 
 def make_quantization_mse_objective(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fneq
+import fneq.cli
 
 from fneq.cli import _build_parser, main
 from fneq.clustering import ClusteringParams
@@ -126,6 +127,31 @@ class TestQuery:
             rows = list(csv.reader(fh))
         assert rows[0] == ["query_id", "rank", "item_id", "score"]
         assert len(rows) == 1 + 6 * 5
+
+    def test_failed_write_keeps_the_earlier_ranking_and_exits_2(self, workspace, monkeypatch,
+                                                                 capsys):
+        tmp, _, _ = workspace
+        self.build(tmp)
+        argv = ["query", "--index", tmp / "idx.fneq", "--queries", tmp / "queries.csv",
+                "--k", 5, "--out", tmp / "ranked.csv"]
+        assert run(argv) == 0
+        before = (tmp / "ranked.csv").read_bytes()
+        files = sorted(tmp.iterdir())
+        ranked = fneq.cli._ranked
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return ranked(*args)
+
+        monkeypatch.setattr(fneq.cli, "_ranked", failing)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "fneq query: data error: no space left on device\n"
+        assert (tmp / "ranked.csv").read_bytes() == before
+        assert sorted(tmp.iterdir()) == files
 
     def test_exact_argmax_on_lossless_index(self, tmp_path):
         items = make_mips_data(24, 6, seed=3)

@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import fneq.persist
 from fneq.errors import InvalidInputError
 from fneq.io import load_csv, load_fvecs, load_matrix, save_csv, save_fvecs
 
@@ -78,6 +80,58 @@ class TestCsv:
         path.write_text("1,apple\n")
         with pytest.raises(InvalidInputError):
             load_csv(path)
+
+
+#: A fixed matrix and, per format, its saver and the bytes it writes.
+GOLDEN_MATRIX = np.array([[1.0, -2.5, 1 / 3], [1e-300, 6.02e23, 0.1]])
+GOLDEN = {
+    "csv": (save_csv, b"1,-2.5,0.33333333333333331\n1e-300,6.02e+23,0.10000000000000001\n"),
+    "fvecs": (save_fvecs, struct.pack("<i3f", 3, 1.0, -2.5, 1 / 3)
+              + struct.pack("<i3f", 3, 1e-300, 6.02e23, 0.1)),
+}
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("fmt", GOLDEN)
+    def test_golden_bytes(self, tmp_path, fmt):
+        save, expected = GOLDEN[fmt]
+        save(tmp_path / f"m.{fmt}", GOLDEN_MATRIX)
+        assert (tmp_path / f"m.{fmt}").read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", GOLDEN)
+    def test_failed_write_keeps_existing_file_and_no_temporary(self, tmp_path, monkeypatch, fmt):
+        save = GOLDEN[fmt][0]
+        path = tmp_path / f"m.{fmt}"
+        save(path, GOLDEN_MATRIX)
+
+        class FailingFile:
+            """Takes the first 10 bytes or characters, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.room = 10
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if not isinstance(data, str):
+                    data = memoryview(data).cast("B")
+                self.fh.write(data[: self.room])
+                self.fh.flush()
+                if len(data) > self.room:
+                    raise OSError("no space left on device")
+                self.room -= len(data)
+
+        monkeypatch.setattr(fneq.persist, "open",
+                            lambda p, mode, **kw: FailingFile(open(p, mode, **kw)), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save(path, 2 * GOLDEN_MATRIX)
+        assert path.read_bytes() == GOLDEN[fmt][1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 def test_load_matrix_dispatch(tmp_path):

@@ -138,6 +138,20 @@ class TestAtomicSave:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
+    @pytest.mark.parametrize("write,rows,expected", [
+        (write_grid_csv, [(2.0, 3.5, 1 / 3), (3.5, 3.5, 1e-12)],
+         b"xi1,xi2,cost\r\n2.000000,3.500000,0.3333333333\r\n3.500000,3.500000,1e-12\r\n"),
+        (write_metrics_csv,
+         [METRICS_ROW, replace_ns(METRICS_ROW, method="rq", dataset_label='toy, "q"',
+                                  recall_mean=1 / 3, time_mean=12.3456789)],
+         b"method,dataset,items,recall,precision,f1,time_s,std\r\n"
+         b"pq,toy,10,0.500000,0.500000,0.500000,0.100000,0.000000\r\n"
+         b'rq,"toy, ""q""",10,0.333333,0.500000,0.500000,12.345679,0.000000\r\n'),
+    ], ids=["grid", "metrics"])
+    def test_csv_golden_bytes(self, tmp_path, write, rows, expected):
+        write(tmp_path / "out.csv", rows)
+        assert (tmp_path / "out.csv").read_bytes() == expected
+
     def test_write_through_a_symlink_replaces_its_target_and_keeps_the_link(self, tmp_path):
         (tmp_path / "real.csv").write_text("old\n")
         (tmp_path / "out.csv").symlink_to("real.csv")

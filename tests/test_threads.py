@@ -1,13 +1,15 @@
 """``FNEQ_THREADS`` and the work it caps, the per-sub-space codebook fits,
 ``reencode``'s row blocks and the tuner's grid: the cap itself,
 byte-identical indexes and grids at every cap and block split, worker
-errors and the pool the fits run on."""
+errors, the pool the fits run on and the one module that owns pools."""
 
 import os
+import re
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,41 @@ def test_fits_run_on_at_most_cap_pool_threads(monkeypatch, cap):
     fneq.quantizers.train_pq(corpus(8, False), 8, 8, ClusteringParams(seed=1, max_iters=5))
     assert threading.get_ident() not in seen
     assert 1 <= len(seen) <= cap
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_pools_never_nest_in_a_fit_or_a_re_encode_block(monkeypatch, cap):
+    """Inside a codebook fit and inside a re-encode block ``thread_cap()``
+    is 1, so a pool opened there runs on one thread."""
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    lock = threading.Lock()
+    caps = {"fit": [], "block": []}
+
+    def spying(original, where):
+        def call(*args, **kwargs):
+            with lock:
+                caps[where].append(thread_cap())
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(fneq.quantizers, "kmeans", spying(fneq.quantizers.kmeans, "fit"))
+    items = block_corpus()
+    index = train_index(Dataset(items[:300]), "neq_kmeans", 5, 1, 8,
+                        ClusteringParams(seed=2, max_iters=20))
+    monkeypatch.setattr(fneq.neq, "_encode", spying(fneq.neq._encode, "block"))
+    reencode(index, Dataset(items))
+    assert caps == {"fit": [1] * 4, "block": [1] * 3}
+    assert thread_cap() == cap
+
+
+def test_only_core_names_the_thread_pool():
+    """Every pool runs through ``core._thread_map``: no other module names
+    ``ThreadPoolExecutor`` or the ``_pool`` thread flag."""
+    package = Path(fneq.neq.__file__).parent
+    owners = [path.name for path in sorted(package.glob("*.py"))
+              if re.search(r"\bThreadPoolExecutor\b|\b_pool\b", path.read_text())]
+    assert owners == ["core.py"]
 
 
 #: (mode, m_prime) of the re-encoding tests; pq and rq have no norm codebooks.
