@@ -149,6 +149,43 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return cdist(points, centroids, "sqeuclidean")
 
 
+def _nearest(vectors: np.ndarray, cw: np.ndarray, x_sq=None) -> tuple[np.ndarray, float, float]:
+    """The nearest codeword per row (ties pick the lowest index), and ``E``,
+    an estimate of ``kmeans``' inertia for ``cw``, with an error bound ``r``.
+    Callers that repeat ``vectors`` pass their squared norms as ``x_sq``.
+
+    Each index equals the ``squared_distances`` argmin bit for bit. One GEMM
+    gives ``g = ||c||² - 2 c·x`` as ``(k*, n)``; rows where another ``g`` lies
+    within ``bound`` of the least (ties, non-finite) are re-checked exactly.
+    With ``u = eps/2``, ``D = D*``, ``M = max ||c||`` and ``S = (M + ||x||)²
+    <= 2 (M² + ||x||²)``, ``g`` is off by at most ``2Du ||c|| ||x|| + Du ||c||²
+    + u |g| <= (D+1) u S``, and a ``cdist`` distance ``d <= S``, a sum of ``D``
+    terms ``(a - b)²`` each off by ``3u`` of itself, by ``(D+2) u S`` in any
+    order. So two ``g`` more than ``(2D+3) eps S`` apart keep their strict
+    order in ``cdist``; ``bound = 4 (D+4) eps (M² + ||x||²)`` covers that and
+    the rounding of ``best + bound``, and ``4 (D+4)`` smallest subnormals
+    cover underflow. A row's estimate ``best + ||x||²`` adds ``D u S`` (the
+    computed ``||x||²``) and ``u S`` (the add): ``(3D+4) u S < bound``. ``E``
+    and the exact sum are each off by ``(n-1) u`` times their magnitudes' sum.
+    """
+    fp = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows take the exact path
+        sq = np.einsum("ij,ij->i", cw, cw)
+        g = (-2.0 * cw) @ vectors.T
+        g += sq[:, None]
+        best = g.min(axis=0)
+        x_sq = np.einsum("ij,ij->i", vectors, vectors) if x_sq is None else x_sq
+        bound = 4 * (cw.shape[1] + 4) * (fp.eps * (sq.max() + x_sq) + fp.smallest_subnormal)
+        near_code, near_row = np.divmod(np.flatnonzero(g <= best + bound), vectors.shape[0])
+        best += x_sq
+        error = bound.sum() + 2 * len(best) * fp.eps * (np.abs(best).sum() + bound.sum())
+    codes = np.zeros(vectors.shape[0], dtype=np.intp)
+    codes[near_row] = near_code
+    rows = np.flatnonzero((np.bincount(near_row, minlength=len(codes)) != 1) | ~np.isfinite(best))
+    codes[rows] = squared_distances(vectors[rows], cw).argmin(axis=1)
+    return codes, best.sum(), error
+
+
 def _check_points(points: np.ndarray, c: int) -> np.ndarray:
     """Validated points as a C-contiguous float64 array (a copy when the
     input is a strided view such as a sub-space slice)."""
@@ -183,6 +220,27 @@ def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.
     return centroids
 
 
+def _lloyd_update(points, columns, labels, centroids, closest) -> None:
+    """``kmeans``' cell means and empty-cell repair in place; ``closest()`` runs only to repair."""
+    c = len(centroids)
+    counts = np.bincount(labels, minlength=c)
+    filled = counts > 0
+    if columns is None:
+        for j in np.flatnonzero(filled):
+            centroids[j] = points[labels == j].mean(axis=0)
+    else:
+        sums = np.stack([np.bincount(labels, weights=col, minlength=c) for col in columns], 1)
+        centroids[filled] = sums[filled] / counts[filled, None]
+    if filled.all():
+        return
+    closest = closest()
+    for j in np.flatnonzero(~filled):
+        far = int(np.argmax(closest))
+        if closest[far] > 0:
+            centroids[j] = points[far]
+            closest[far] = 0.0
+
+
 def kmeans(
     points: np.ndarray, c: int, params: ClusteringParams, *, tol: float = 0.0
 ) -> KMeansResult:
@@ -194,7 +252,8 @@ def kmeans(
     the returned centroids, the means of the previous labels' cells.
 
     Empty clusters are re-seeded from the point farthest from its
-    current centroid; inertia never increases across iterations.
+    current centroid; inertia never increases across iterations. Training
+    fits take these centroids from ``_train_lloyd``, without exact inertias.
 
     Each step is bit-identical to a plain loop that takes every cell's
     ``points[member].mean(axis=0)`` and recomputes all distances:
@@ -228,20 +287,8 @@ def kmeans(
     converged = False
     n_iter = 0
     for n_iter in range(1, params.max_iters + 1):
-        counts = np.bincount(labels, minlength=c)
-        filled = counts > 0
         previous = centroids.copy()
-        if columns is None:
-            for j in np.flatnonzero(filled):
-                centroids[j] = points[labels == j].mean(axis=0)
-        else:
-            sums = np.stack([np.bincount(labels, weights=col, minlength=c) for col in columns], 1)
-            centroids[filled] = sums[filled] / counts[filled, None]
-        for j in np.flatnonzero(~filled):
-            far = int(np.argmax(closest))
-            if closest[far] > 0:
-                centroids[j] = points[far]
-                closest[far] = 0.0
+        _lloyd_update(points, columns, labels, centroids, lambda: closest)
         moved = np.flatnonzero((centroids != previous).any(axis=1))
         d2[moved] = squared_distances(centroids[moved], points)
         closest = d2.min(axis=0)
@@ -261,6 +308,42 @@ def kmeans(
         converged=converged,
         inertia_history=tuple(history),
     )
+
+
+def _stops(points, previous, centroids, before, after, tol: float) -> bool:
+    """``kmeans``' stop test ``I0 - I1 <= tol * I1`` for ``previous`` and ``centroids``:
+    from the ``_nearest`` estimates ``(E0, r0)``, ``(E1, r1)`` when ``gap = E0 - E1 -
+    tol E1`` clears ``(1 + tol) (r0 + r1 + 2 eps (|E0| + |E1| + r0 + r1))``, else from
+    ``cdist``. ``I0 - I1`` is within ``r0 + r1`` of ``E0 - E1`` and ``tol I1`` within
+    ``tol r1`` of ``tol E1``; three roundings cost ``3u (1 + tol) (|E0| + |E1| + r0 + r1)``."""
+    (e0, r0), (e1, r1) = before, after
+    gap = e0 - e1 - tol * e1
+    if abs(gap) > (1 + tol) * (r0 + r1 + 2 * np.finfo(float).eps * (abs(e0) + abs(e1) + r0 + r1)):
+        return gap < 0
+    i0, i1 = (float(squared_distances(points, x).min(axis=1).sum()) for x in (previous, centroids))
+    return i0 - i1 <= tol * i1
+
+
+def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: float):
+    """``kmeans(points, c, params, tol=tol)``'s centroids (a ``Codebook``), ``n_iter``
+    and ``converged``, bit for bit, with labels from ``_nearest``: training's Lloyd."""
+    points = _check_points(points, c)
+    centroids = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
+    columns = points.T.copy() if points.shape[1] > 1 else None
+    # An F-ordered view of ``points``: the GEMM runs faster on ``columns``.
+    vectors = points if columns is None else columns.T
+    x_sq = np.einsum("ij,ij->i", points, points)
+    labels, *before = _nearest(vectors, centroids, x_sq)
+    for n_iter in range(1, params.max_iters + 1):
+        previous = centroids.copy()
+        _lloyd_update(points, columns, labels, centroids,
+                      lambda: squared_distances(points, previous).min(axis=1))
+        new, *after = _nearest(vectors, centroids, x_sq)
+        stable = np.array_equal(new, labels)
+        if stable or tol > 0.0 and _stops(points, previous, centroids, before, after, tol):
+            return Codebook(centroids), n_iter, True
+        labels, before = new, after
+    return Codebook(centroids), params.max_iters, False
 
 
 def _shared_ratios(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

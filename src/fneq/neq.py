@@ -388,9 +388,10 @@ def scan_scores(
 
 def _gather_sum(tables, codes: np.ndarray) -> np.ndarray:
     """Per item, the sum of ``tables[j][codes[:, j]]`` over the tables, in order."""
-    total = np.zeros(codes.shape[0])
-    for j, table in enumerate(tables):
-        total += table.take(codes[:, j])
+    total = tables[0].take(codes[:, 0])
+    total += 0.0  # -0.0 becomes +0.0, as ``0.0 + x`` does
+    for j in range(1, len(tables)):
+        total += tables[j].take(codes[:, j])
     return total
 
 

@@ -514,6 +514,16 @@ def item_sq_norms_reference(index: IndexArtifact) -> np.ndarray:
     return l_total * l_total * dir_sq
 
 
+def gather_sum_reference(tables, codes: np.ndarray) -> np.ndarray:
+    """Per item, the sum of ``tables[j][codes[:, j]]`` over the tables, in
+    order, from a zeroed accumulator (the scan's sum before it was seeded
+    with the first table's entries)."""
+    total = np.zeros(codes.shape[0])
+    for j, table in enumerate(tables):
+        total += table.take(codes[:, j])
+    return total
+
+
 def build_stage_table(q: np.ndarray, codebooks: tuple[Codebook, ...]) -> ADCTable:
     """Residual-quantizer variant: ``tables[s][i] = <q, c_{s,i}>`` with the
     full-dimension query."""

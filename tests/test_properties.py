@@ -12,11 +12,13 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fneq.aggregation import FuzzyMeasure, fuse_codebooks
+import fneq.clustering
 from fneq.clustering import (
     ClusteringParams,
     FuzzyClusterResult,
     _interval_partition,
     _shared_ratios,
+    _train_lloyd,
     it2fpcm,
     kmeans,
     kmeans_plusplus,
@@ -29,6 +31,7 @@ from fneq.neq import (
     MODES,
     IndexArtifact,
     IndexMetadata,
+    _gather_sum,
     estimate_inner_product,
     item_sq_norms,
     query_tables,
@@ -140,6 +143,63 @@ def test_kmeans_equals_lloyd_reference_bit_for_bit(seed, n, d, values, layout, m
     np.testing.assert_array_equal(got.assignments, want.assignments)
     assert got.inertia_history == want.inertia_history
     assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
+
+
+def test_train_lloyd_equals_kmeans_bit_for_bit(monkeypatch):
+    """The training Lloyd gives ``kmeans``' centroids, ``n_iter`` and
+    ``converged`` bit for bit on tie-heavy points up to width 64. Spies
+    count the calls that reach its empty-cell repair and its exact
+    stop-test fallback (``squared_distances`` called inside ``_stops``)."""
+    reached = {"repair": 0, "fallback": 0}
+    in_stops = []
+    update, stops = fneq.clustering._lloyd_update, fneq.clustering._stops
+    distances = fneq.clustering.squared_distances
+
+    def counted_update(points, columns, labels, centroids, closest):
+        def counted_closest():
+            reached["repair"] += 1
+            return closest()
+
+        return update(points, columns, labels, centroids, counted_closest)
+
+    def counted_stops(*args):
+        in_stops.append(True)
+        try:
+            return stops(*args)
+        finally:
+            in_stops.pop()
+
+    def counted_distances(*args):
+        reached["fallback"] += bool(in_stops)
+        return distances(*args)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        d=st.integers(1, 64),
+        values=st.sampled_from(["normal", "integers", "zeros", "negative zeros"]),
+        layout=st.sampled_from(["contiguous", "column slice", "strided", "fortran"]),
+        max_iters=st.integers(1, 30),
+        data=st.data(),
+    )
+    def check(seed, n, d, values, layout, max_iters, data):
+        distinct = data.draw(st.integers(1, n), label="distinct")
+        c = data.draw(st.one_of(st.integers(1, min(n, 3)), st.integers(1, n)), label="c")
+        points = lloyd_points(seed, n, d, distinct, values, layout)
+        params = ClusteringParams(seed=seed, max_iters=max_iters)
+        tol = draw_tol(data)
+        want = kmeans(points, c, params, tol=tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(fneq.clustering, "_lloyd_update", counted_update)
+            patch.setattr(fneq.clustering, "_stops", counted_stops)
+            patch.setattr(fneq.clustering, "squared_distances", counted_distances)
+            centroids, n_iter, converged = _train_lloyd(points, c, params, tol=tol)
+        assert centroids.codewords.tobytes() == want.centroids.codewords.tobytes()
+        assert (n_iter, converged) == (want.n_iter, want.converged)
+
+    check()
+    assert reached["repair"] > 0 and reached["fallback"] > 0, reached
 
 
 def draw_tol(data) -> float:
@@ -469,6 +529,28 @@ def test_nearest_codes_equal_cdist_argmin(seed, d, k, n, thirds, exponent):
     np.testing.assert_array_equal(nearest_codes(points * scale, codebook), expected)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 80),
+    k=st.integers(1, 40),
+    n=st.integers(0, 300),
+    distinct=st.integers(1, 40),
+    exponent=st.integers(-540, 400),
+)
+def test_nearest_inertia_estimate_lies_within_its_bound(seed, d, k, n, distinct, exponent):
+    """``_nearest``'s inertia estimate is within its error bound of the
+    exact inertia as ``kmeans`` sums it, on repeated rows and codewords
+    (exact zeros next to estimates), from subnormal to large scales."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(distinct, d)) * 2.0**exponent
+    points = pool[rng.integers(0, distinct, size=n)]
+    codewords = pool[rng.integers(0, distinct, size=k)]
+    _, estimate, error = fneq.clustering._nearest(points, codewords)
+    exact = float(squared_distances(points, codewords).min(axis=1).sum())
+    assert abs(estimate - exact) <= error, (estimate, exact, error)
+
+
 #: Values that make codewords coincide, distances tie and zeros carry a sign.
 TIE_VALUES = np.array([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0])
 
@@ -514,6 +596,26 @@ def test_scan_equals_per_item_estimate_bit_for_bit(index, q_seed, data):
     np.testing.assert_array_equal(scan_scores(q, index), expected)
     limit = data.draw(st.integers(0, index.n), label="limit")
     np.testing.assert_array_equal(scan_scores(q, index, limit=limit), expected[:limit])
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 50),
+    sizes=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    stacked=st.booleans(),
+)
+def test_gather_sum_equals_zero_seeded_sum_bit_for_bit(seed, n, sizes, stacked):
+    """The scan's seeded sum gives the zeroed accumulator's bytes on tables
+    of signed zeros and exact ties, as a list of tables (the norm sums) or
+    as the rows of one table (the direction sums)."""
+    rng = np.random.default_rng(seed)
+    tables = [rng.choice(TIE_VALUES, size=k) for k in sizes]
+    if stacked:
+        tables = np.vstack([np.pad(t, (0, max(sizes) - len(t))) for t in tables])
+    codes = rng.integers(0, sizes, size=(n, len(sizes))).astype(np.uint8)
+    got = _gather_sum(tables, codes)
+    assert got.tobytes() == oracles.gather_sum_reference(tables, codes).tobytes()
 
 
 @st.composite
