@@ -149,10 +149,10 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return cdist(points, centroids, "sqeuclidean")
 
 
-def _nearest(vectors: np.ndarray, cw: np.ndarray, x_sq=None) -> tuple[np.ndarray, float, float]:
-    """The nearest codeword per row (ties pick the lowest index), and ``E``,
-    an estimate of ``kmeans``' inertia for ``cw``, with an error bound ``r``.
-    Callers that repeat ``vectors`` pass their squared norms as ``x_sq``.
+def _nearest(vectors: np.ndarray, cw: np.ndarray, x_sq=None):
+    """The nearest codeword per row (ties pick the lowest index), each row's
+    least ``g`` (``best``, below) and its ``bound``. Callers that repeat
+    ``vectors`` pass their squared norms as ``x_sq``.
 
     Each index equals the ``squared_distances`` argmin bit for bit. One GEMM
     gives ``g = ||c||² - 2 c·x`` as ``(k*, n)``; rows where another ``g`` lies
@@ -164,9 +164,9 @@ def _nearest(vectors: np.ndarray, cw: np.ndarray, x_sq=None) -> tuple[np.ndarray
     order. So two ``g`` more than ``(2D+3) eps S`` apart keep their strict
     order in ``cdist``; ``bound = 4 (D+4) eps (M² + ||x||²)`` covers that and
     the rounding of ``best + bound``, and ``4 (D+4)`` smallest subnormals
-    cover underflow. A row's estimate ``best + ||x||²`` adds ``D u S`` (the
-    computed ``||x||²``) and ``u S`` (the add): ``(3D+4) u S < bound``. ``E``
-    and the exact sum are each off by ``(n-1) u`` times their magnitudes' sum.
+    cover underflow. ``best + ||x||²`` estimates the row's least ``cdist``
+    distance: it adds ``D u S`` (the computed ``||x||²``) and ``u S`` (the
+    add), and ``(3D+4) u S < bound``.
     """
     fp = np.finfo(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows take the exact path
@@ -177,13 +177,11 @@ def _nearest(vectors: np.ndarray, cw: np.ndarray, x_sq=None) -> tuple[np.ndarray
         x_sq = np.einsum("ij,ij->i", vectors, vectors) if x_sq is None else x_sq
         bound = 4 * (cw.shape[1] + 4) * (fp.eps * (sq.max() + x_sq) + fp.smallest_subnormal)
         near_code, near_row = np.divmod(np.flatnonzero(g <= best + bound), vectors.shape[0])
-        best += x_sq
-        error = bound.sum() + 2 * len(best) * fp.eps * (np.abs(best).sum() + bound.sum())
     codes = np.zeros(vectors.shape[0], dtype=np.intp)
     codes[near_row] = near_code
     rows = np.flatnonzero((np.bincount(near_row, minlength=len(codes)) != 1) | ~np.isfinite(best))
     codes[rows] = squared_distances(vectors[rows], cw).argmin(axis=1)
-    return codes, best.sum(), error
+    return codes, best, bound
 
 
 def _check_points(points: np.ndarray, c: int) -> np.ndarray:
@@ -242,7 +240,8 @@ def _lloyd_update(points, columns, labels, centroids, closest) -> None:
 
 
 def kmeans(
-    points: np.ndarray, c: int, params: ClusteringParams, *, tol: float = 0.0
+    points: np.ndarray, c: int, params: ClusteringParams, *, tol: float = 0.0,
+    exact_inertia: bool = True,
 ) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, run until the assignment
     stabilizes (so both optimality conditions hold at termination) or,
@@ -252,8 +251,13 @@ def kmeans(
     the returned centroids, the means of the previous labels' cells.
 
     Empty clusters are re-seeded from the point farthest from its
-    current centroid; inertia never increases across iterations. Training
-    fits take these centroids from ``_train_lloyd``, without exact inertias.
+    current centroid; inertia never increases across iterations.
+
+    ``exact_inertia=False`` (training fits) labels with the encoder's GEMM
+    kernel and returns the same centroids, assignments, ``n_iter`` and
+    ``converged`` bit for bit; ``inertia`` and ``inertia_history`` are then
+    the kernel's estimates, and a stop decision within their error bound,
+    or an empty cell, reads exact distances (``_train_lloyd``).
 
     Each step is bit-identical to a plain loop that takes every cell's
     ``points[member].mean(axis=0)`` and recomputes all distances:
@@ -276,6 +280,8 @@ def kmeans(
     points = _check_points(points, c)
     if not tol >= 0.0:
         raise InvalidInputError("tol must be non-negative")
+    if not exact_inertia:
+        return _train_lloyd(points, c, params, tol=tol)
     rng = np.random.default_rng(params.seed)
     centroids = kmeans_plusplus(points, c, rng)
     columns = points.T.copy() if points.shape[1] > 1 else None
@@ -310,40 +316,51 @@ def kmeans(
     )
 
 
-def _stops(points, previous, centroids, before, after, tol: float) -> bool:
-    """``kmeans``' stop test ``I0 - I1 <= tol * I1`` for ``previous`` and ``centroids``:
-    from the ``_nearest`` estimates ``(E0, r0)``, ``(E1, r1)`` when ``gap = E0 - E1 -
-    tol E1`` clears ``(1 + tol) (r0 + r1 + 2 eps (|E0| + |E1| + r0 + r1))``, else from
-    ``cdist``. ``I0 - I1`` is within ``r0 + r1`` of ``E0 - E1`` and ``tol I1`` within
-    ``tol r1`` of ``tol E1``; three roundings cost ``3u (1 + tol) (|E0| + |E1| + r0 + r1)``."""
-    (e0, r0), (e1, r1) = before, after
-    gap = e0 - e1 - tol * e1
-    if abs(gap) > (1 + tol) * (r0 + r1 + 2 * np.finfo(float).eps * (abs(e0) + abs(e1) + r0 + r1)):
-        return gap < 0
-    i0, i1 = (float(squared_distances(points, x).min(axis=1).sum()) for x in (previous, centroids))
-    return i0 - i1 <= tol * i1
-
-
-def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: float):
-    """``kmeans(points, c, params, tol=tol)``'s centroids (a ``Codebook``), ``n_iter``
-    and ``converged``, bit for bit, with labels from ``_nearest``: training's Lloyd."""
-    points = _check_points(points, c)
+def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: float) -> KMeansResult:
+    """``kmeans(points, c, params, tol=tol, exact_inertia=False)`` on checked
+    ``points``. ``E``, the sum of ``_nearest``'s ``best + ||x||²``, lies within
+    ``r = sum(bound) + 2n eps (sum |best + ||x||²| + sum(bound))`` of ``kmeans``'
+    inertia ``I``: each row lies within its ``bound``, and both ``n``-term sums
+    are off by at most ``(n-1) u`` times their magnitudes' sum. So ``I0 - I1 -
+    tol I1`` lies within ``(1 + tol) (r0 + r1)`` of ``gap = E0 - E1 - tol E1``,
+    and the roundings of ``gap`` and of ``kmeans``' test ``I0 - I1 <= tol I1``
+    add ``4u (1 + tol) (|E0| + |E1| + r0 + r1)``. A ``gap`` clear of that sum
+    decides the stop by its sign; otherwise exact ``cdist`` inertias decide.
+    """
+    eps = np.finfo(np.float64).eps
     centroids = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
     columns = points.T.copy() if points.shape[1] > 1 else None
     # An F-ordered view of ``points``: the GEMM runs faster on ``columns``.
     vectors = points if columns is None else columns.T
     x_sq = np.einsum("ij,ij->i", points, points)
-    labels, *before = _nearest(vectors, centroids, x_sq)
+
+    def assign():
+        labels, best, bound = _nearest(vectors, centroids, x_sq)
+        best += x_sq
+        return labels, best.sum(), bound.sum() + 2 * len(best) * eps * (np.abs(best).sum() + bound.sum())
+
+    labels, e0, r0 = assign()
+    history = [e0]
     for n_iter in range(1, params.max_iters + 1):
         previous = centroids.copy()
         _lloyd_update(points, columns, labels, centroids,
                       lambda: squared_distances(points, previous).min(axis=1))
-        new, *after = _nearest(vectors, centroids, x_sq)
-        stable = np.array_equal(new, labels)
-        if stable or tol > 0.0 and _stops(points, previous, centroids, before, after, tol):
-            return Codebook(centroids), n_iter, True
-        labels, before = new, after
-    return Codebook(centroids), params.max_iters, False
+        new_labels, e1, r1 = assign()
+        history.append(e1)
+        stop = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if not stop and tol > 0.0:
+            gap = e0 - e1 - tol * e1
+            if abs(gap) > (1 + tol) * (r0 + r1 + 2 * eps * (abs(e0) + abs(e1) + r0 + r1)):
+                stop = gap < 0
+            else:
+                i0 = float(squared_distances(points, previous).min(axis=1).sum())
+                i1 = float(squared_distances(points, centroids).min(axis=1).sum())
+                stop = i0 - i1 <= tol * i1
+        if stop:
+            return KMeansResult(Codebook(centroids), labels, e1, n_iter, True, tuple(history))
+        e0, r0 = e1, r1
+    return KMeansResult(Codebook(centroids), labels, e1, params.max_iters, False, tuple(history))
 
 
 def _shared_ratios(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import ClusteringParams, _nearest, _train_lloyd
+from .clustering import ClusteringParams, _nearest, kmeans
 from .core import Codebook, CodeMatrix, Dataset, SubVectorLayout, _thread_map
 from .errors import CorruptionError, InvalidInputError
 
@@ -159,7 +159,8 @@ def _kmeans_fit(k_star: int, params: ClusteringParams):
     ``kmeans``' ``k_star`` centroids at the fit's seed and ``TRAINING_TOL``."""
 
     def fit(points: np.ndarray, seed: int) -> Codebook:
-        return _train_lloyd(points, k_star, replace(params, seed=seed), tol=TRAINING_TOL)[0]
+        params_at_seed = replace(params, seed=seed)
+        return kmeans(points, k_star, params_at_seed, tol=TRAINING_TOL, exact_inertia=False).centroids
 
     return fit
 

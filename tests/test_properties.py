@@ -3,6 +3,7 @@ scan, top-k selection, persistence and the recall curve against the
 reference implementations in ``oracles.py``, re-encoding and the
 per-item estimate."""
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from fneq.clustering import (
     FuzzyClusterResult,
     _interval_partition,
     _shared_ratios,
-    _train_lloyd,
     it2fpcm,
     kmeans,
     kmeans_plusplus,
@@ -145,15 +145,14 @@ def test_kmeans_equals_lloyd_reference_bit_for_bit(seed, n, d, values, layout, m
     assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
 
 
-def test_train_lloyd_equals_kmeans_bit_for_bit(monkeypatch):
-    """The training Lloyd gives ``kmeans``' centroids, ``n_iter`` and
-    ``converged`` bit for bit on tie-heavy points up to width 64. Spies
-    count the calls that reach its empty-cell repair and its exact
-    stop-test fallback (``squared_distances`` called inside ``_stops``)."""
+def test_training_kmeans_equals_kmeans_bit_for_bit(monkeypatch):
+    """``kmeans(..., exact_inertia=False)``, the training Lloyd, gives
+    ``kmeans``' centroids, assignments, ``n_iter`` and ``converged`` bit
+    for bit on tie-heavy points up to width 64. Spies count the calls
+    that reach its empty-cell repair and its exact stop-test fallback
+    (``squared_distances`` called from ``_train_lloyd``'s own body)."""
     reached = {"repair": 0, "fallback": 0}
-    in_stops = []
-    update, stops = fneq.clustering._lloyd_update, fneq.clustering._stops
-    distances = fneq.clustering.squared_distances
+    update, distances = fneq.clustering._lloyd_update, fneq.clustering.squared_distances
 
     def counted_update(points, columns, labels, centroids, closest):
         def counted_closest():
@@ -162,15 +161,8 @@ def test_train_lloyd_equals_kmeans_bit_for_bit(monkeypatch):
 
         return update(points, columns, labels, centroids, counted_closest)
 
-    def counted_stops(*args):
-        in_stops.append(True)
-        try:
-            return stops(*args)
-        finally:
-            in_stops.pop()
-
     def counted_distances(*args):
-        reached["fallback"] += bool(in_stops)
+        reached["fallback"] += sys._getframe(1).f_code.co_name == "_train_lloyd"
         return distances(*args)
 
     @settings(max_examples=500, deadline=None)
@@ -192,11 +184,11 @@ def test_train_lloyd_equals_kmeans_bit_for_bit(monkeypatch):
         want = kmeans(points, c, params, tol=tol)
         with monkeypatch.context() as patch:
             patch.setattr(fneq.clustering, "_lloyd_update", counted_update)
-            patch.setattr(fneq.clustering, "_stops", counted_stops)
             patch.setattr(fneq.clustering, "squared_distances", counted_distances)
-            centroids, n_iter, converged = _train_lloyd(points, c, params, tol=tol)
-        assert centroids.codewords.tobytes() == want.centroids.codewords.tobytes()
-        assert (n_iter, converged) == (want.n_iter, want.converged)
+            got = kmeans(points, c, params, tol=tol, exact_inertia=False)
+        assert got.centroids.codewords.tobytes() == want.centroids.codewords.tobytes()
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
 
     check()
     assert reached["repair"] > 0 and reached["fallback"] > 0, reached
@@ -538,17 +530,18 @@ def test_nearest_codes_equal_cdist_argmin(seed, d, k, n, thirds, exponent):
     distinct=st.integers(1, 40),
     exponent=st.integers(-540, 400),
 )
-def test_nearest_inertia_estimate_lies_within_its_bound(seed, d, k, n, distinct, exponent):
-    """``_nearest``'s inertia estimate is within its error bound of the
-    exact inertia as ``kmeans`` sums it, on repeated rows and codewords
-    (exact zeros next to estimates), from subnormal to large scales."""
+def test_nearest_distance_estimate_lies_within_its_bound(seed, d, k, n, distinct, exponent):
+    """Per row, ``_nearest``'s ``best + ||x||²`` is within its ``bound`` of
+    the least ``cdist`` distance, on repeated rows and codewords (exact
+    zeros next to estimates), from subnormal to large scales."""
     rng = np.random.default_rng(seed)
     pool = rng.normal(size=(distinct, d)) * 2.0**exponent
     points = pool[rng.integers(0, distinct, size=n)]
     codewords = pool[rng.integers(0, distinct, size=k)]
-    _, estimate, error = fneq.clustering._nearest(points, codewords)
-    exact = float(squared_distances(points, codewords).min(axis=1).sum())
-    assert abs(estimate - exact) <= error, (estimate, exact, error)
+    _, best, bound = fneq.clustering._nearest(points, codewords)
+    exact = squared_distances(points, codewords).min(axis=1)
+    estimate = best + np.einsum("ij,ij->i", points, points)
+    assert np.all(np.abs(estimate - exact) <= bound), (estimate, exact, bound)
 
 
 #: Values that make codewords coincide, distances tie and zeros carry a sign.

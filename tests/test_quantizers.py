@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+import fneq.clustering
 import fneq.quantizers
 from fneq.clustering import ClusteringParams, kmeans
 from fneq.core import Codebook, Dataset, SubVectorLayout
@@ -176,16 +177,17 @@ class TestTrainRq:
 def test_every_training_fit_stops_at_the_training_tolerance(monkeypatch):
     """``train_pq``, ``train_rq`` and ``train_index`` (pq, rq, neq_kmeans)
     pass ``TRAINING_TOL`` to every k-means fit (the training Lloyd,
-    ``clustering._train_lloyd``); ``kmeans`` itself defaults to no
-    tolerance, so a direct call stops at label stability."""
+    ``clustering._train_lloyd``, which ``kmeans`` runs for them);
+    ``kmeans`` itself defaults to no tolerance, so a direct call stops
+    at label stability."""
     calls = []
-    original = fneq.quantizers._train_lloyd
+    original = fneq.clustering._train_lloyd
 
     def spy(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fneq.quantizers, "_train_lloyd", spy)
+    monkeypatch.setattr(fneq.clustering, "_train_lloyd", spy)
     data = Dataset(np.random.default_rng(10).normal(size=(200, 12)))
     params = ClusteringParams(seed=6, max_iters=20)
     train_pq(data, 3, 8, params)

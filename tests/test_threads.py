@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fneq.clustering
 import fneq.neq
 import fneq.quantizers
 from fneq.clustering import ClusteringParams
@@ -110,11 +111,11 @@ def failing_on(trainer, seeds):
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 # Case ids name the ``train_index`` module, the fit and the mode; the
-# k-means fit (the training Lloyd) is patched where it is looked up, in
-# ``fneq.quantizers``.
+# k-means fit (the training Lloyd) is patched where ``kmeans`` looks it
+# up, in ``fneq.clustering``.
 @pytest.mark.parametrize("module,name,mode", [
-    pytest.param(fneq.quantizers, "_train_lloyd", "pq", id="fneq.neq-kmeans-pq"),
-    pytest.param(fneq.quantizers, "_train_lloyd", "neq_kmeans", id="fneq.neq-kmeans-neq_kmeans"),
+    pytest.param(fneq.clustering, "_train_lloyd", "pq", id="fneq.neq-kmeans-pq"),
+    pytest.param(fneq.clustering, "_train_lloyd", "neq_kmeans", id="fneq.neq-kmeans-neq_kmeans"),
     pytest.param(fneq.neq, "it2fpcm", "fuzzy2_neq", id="fneq.neq-it2fpcm-fuzzy2_neq"),
 ])
 def test_first_failing_sub_space_raises_its_own_error(monkeypatch, cap, module, name, mode):
@@ -130,13 +131,13 @@ def test_first_failing_sub_space_raises_its_own_error(monkeypatch, cap, module, 
 def test_fits_run_on_at_most_cap_pool_threads(monkeypatch, cap):
     monkeypatch.setenv("FNEQ_THREADS", str(cap))
     seen = set()
-    original = fneq.quantizers._train_lloyd
+    original = fneq.clustering._train_lloyd
 
     def recording(*args, **kwargs):
         seen.add(threading.get_ident())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fneq.quantizers, "_train_lloyd", recording)
+    monkeypatch.setattr(fneq.clustering, "_train_lloyd", recording)
     fneq.quantizers.train_pq(corpus(8, False), 8, 8, ClusteringParams(seed=1, max_iters=5))
     assert threading.get_ident() not in seen
     assert 1 <= len(seen) <= cap
@@ -158,8 +159,8 @@ def test_pools_never_nest_in_a_fit_or_a_re_encode_block(monkeypatch, cap):
 
         return call
 
-    fit = spying(fneq.quantizers._train_lloyd, "fit")
-    monkeypatch.setattr(fneq.quantizers, "_train_lloyd", fit)
+    fit = spying(fneq.clustering._train_lloyd, "fit")
+    monkeypatch.setattr(fneq.clustering, "_train_lloyd", fit)
     items = block_corpus()
     index = train_index(Dataset(items[:300]), "neq_kmeans", 5, 1, 8,
                         ClusteringParams(seed=2, max_iters=20))
