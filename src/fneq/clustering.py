@@ -176,10 +176,14 @@ def _nearest(vectors: np.ndarray, cw: np.ndarray, x_sq=None):
         best = g.min(axis=0)
         x_sq = np.einsum("ij,ij->i", vectors, vectors) if x_sq is None else x_sq
         bound = 4 * (cw.shape[1] + 4) * (fp.eps * (sq.max() + x_sq) + fp.smallest_subnormal)
-        near_code, near_row = np.divmod(np.flatnonzero(g <= best + bound), vectors.shape[0])
-    codes = np.zeros(vectors.shape[0], dtype=np.intp)
-    codes[near_row] = near_code
-    rows = np.flatnonzero((np.bincount(near_row, minlength=len(codes)) != 1) | ~np.isfinite(best))
+        near = g <= best + bound
+    # Per row, the count and index sum of near codewords, in the narrowest
+    # type that holds ``k* - 1``: exact where the count is 1, and any
+    # wrap-around falls on rows with several, which are re-checked.
+    small = np.min_scalar_type(len(cw) - 1)
+    count = near.sum(axis=0, dtype=small)
+    codes = (near * np.arange(len(cw), dtype=small)[:, None]).sum(axis=0, dtype=small).astype(np.intp)
+    rows = np.flatnonzero((count != 1) | ~np.isfinite(best))
     codes[rows] = squared_distances(vectors[rows], cw).argmin(axis=1)
     return codes, best, bound
 

@@ -521,6 +521,18 @@ def test_nearest_codes_equal_cdist_argmin(seed, d, k, n, thirds, exponent):
     np.testing.assert_array_equal(nearest_codes(points * scale, codebook), expected)
 
 
+@pytest.mark.parametrize("k", [255, 256, 257, 600])
+def test_nearest_codes_equal_cdist_argmin_past_one_byte(k):
+    """Past 256 codewords, where codes and near counts outgrow a byte:
+    rows beside each codeword, rows on midpoints (two-way ties) and a
+    codebook of ``k`` coinciding codewords, where every row ties."""
+    line = np.column_stack([np.arange(k, dtype=float), np.zeros(k)])
+    points = np.vstack([line + 0.25, (line[:-1] + line[1:]) / 2])
+    for codebook in (Codebook(line), Codebook(np.zeros((k, 2)))):
+        expected = nearest_codes_reference(points, codebook)
+        np.testing.assert_array_equal(nearest_codes(points, codebook), expected)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
