@@ -156,7 +156,8 @@ TRAINING_TOL = 1e-4
 
 def _kmeans_fit(k_star: int, params: ClusteringParams):
     """The ``fit`` that every k-means trainer hands to ``_fit_codebooks``:
-    ``kmeans``' ``k_star`` centroids at the fit's seed and ``TRAINING_TOL``."""
+    ``k_star`` centroids at the fit's seed, stopped at ``TRAINING_TOL``,
+    labelled by the encoder's kernel (``kmeans``' ``exact_inertia=False``)."""
 
     def fit(points: np.ndarray, seed: int) -> Codebook:
         params_at_seed = replace(params, seed=seed)
