@@ -20,7 +20,9 @@ loop stops when the objective improves by less than ``epsilon``.
 Both trainers skip repeated work without changing a bit of output: an
 array changes orientation only where each entry depends on one point and
 one centroid alone or the reduction is a min, and every sum keeps its
-layout (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
+layout or its order (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
+Lloyd's one-hot CSC product adds each cell's members one by one from +0.0,
+``mean``'s order over rows, but not over a width-1 cell, summed pairwise.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
 from .core import Codebook, NormCodebook, _frozen
@@ -194,8 +197,12 @@ def _check_points(points: np.ndarray, c: int) -> np.ndarray:
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(points)):
-        raise InvalidInputError("points must be finite")
+    # k-means++ sums n squared distances of at most 4 d max|x|² each; keep that finite.
+    limit = np.sqrt(np.finfo(np.float64).max / (4 * max(points.size, 1)))
+    if not -limit <= points.min(initial=0.0) <= points.max(initial=0.0) <= limit:
+        if not np.all(np.isfinite(points)):
+            raise InvalidInputError("points must be finite")
+        raise InvalidInputError(f"points must lie within ±{limit:.3g}, or their squared distances overflow")
     if not 1 <= c <= points.shape[0]:
         raise InvalidInputError(f"c={c} must lie in [1, {points.shape[0]}] (the available points)")
     return points
@@ -222,16 +229,17 @@ def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _lloyd_update(points, columns, labels, centroids, closest) -> None:
-    """``kmeans``' cell means and empty-cell repair in place; ``closest()`` runs only to repair."""
+def _lloyd_update(points, onehot, labels, centroids, closest) -> None:
+    """``kmeans``' cell means and empty-cell repair in place; ``closest()`` runs only
+    to repair. ``onehot`` is ``(np.ones(n), np.arange(n + 1))``, or None at ``d == 1``."""
     c = len(centroids)
     counts = np.bincount(labels, minlength=c)
     filled = counts > 0
-    if columns is None:
+    if onehot is None:
         for j in np.flatnonzero(filled):
             centroids[j] = points[labels == j].mean(axis=0)
     else:
-        sums = np.stack([np.bincount(labels, weights=col, minlength=c) for col in columns], 1)
+        sums = csc_array((onehot[0], labels, onehot[1]), shape=(c, len(labels))) @ points
         centroids[filled] = sums[filled] / counts[filled, None]
     if filled.all():
         return
@@ -266,11 +274,11 @@ def kmeans(
     Each step is bit-identical to a plain loop that takes every cell's
     ``points[member].mean(axis=0)`` and recomputes all distances:
 
-    * Cell sums come from one weighted ``bincount`` per coordinate. It
-      adds a cell's members in ascending order, as numpy's row-by-row
-      sum over axis 0 does for ``d >= 2``, and then divides by the count
-      as ``mean`` does; both start from +0.0. Only ``d == 1`` keeps the
-      masked mean, because numpy sums a ``(cnt, 1)`` block pairwise.
+    * Cell sums are one product of a ``(c, n)`` one-hot CSC matrix and
+      ``points``: scipy's kernel walks the points in ascending order and adds
+      ``1.0 * x`` (exact) to the point's cell from +0.0, as ``mean``'s
+      row-by-row sum over axis 0 does for ``d >= 2``. Only ``d == 1`` keeps
+      the masked mean, because numpy sums a ``(cnt, 1)`` block pairwise.
     * Empty cells are repaired after the means, in ascending order, from
       the previous assignment's distances, which the means never read.
     * The ``(c, n)`` distance matrix is kept across iterations and only
@@ -288,7 +296,7 @@ def kmeans(
         return _train_lloyd(points, c, params, tol=tol)
     rng = np.random.default_rng(params.seed)
     centroids = kmeans_plusplus(points, c, rng)
-    columns = points.T.copy() if points.shape[1] > 1 else None
+    onehot = (np.ones(len(points)), np.arange(len(points) + 1)) if points.shape[1] > 1 else None
 
     d2 = squared_distances(centroids, points)
     closest = d2.min(axis=0)
@@ -298,7 +306,7 @@ def kmeans(
     n_iter = 0
     for n_iter in range(1, params.max_iters + 1):
         previous = centroids.copy()
-        _lloyd_update(points, columns, labels, centroids, lambda: closest)
+        _lloyd_update(points, onehot, labels, centroids, lambda: closest)
         moved = np.flatnonzero((centroids != previous).any(axis=1))
         d2[moved] = squared_distances(centroids[moved], points)
         closest = d2.min(axis=0)
@@ -333,9 +341,8 @@ def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: f
     """
     eps = np.finfo(np.float64).eps
     centroids = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
-    columns = points.T.copy() if points.shape[1] > 1 else None
-    # An F-ordered view of ``points``: the GEMM runs faster on ``columns``.
-    vectors = points if columns is None else columns.T
+    onehot = (np.ones(len(points)), np.arange(len(points) + 1)) if points.shape[1] > 1 else None
+    vectors = np.asfortranarray(points)  # the GEMM runs faster on an F-ordered copy
     x_sq = np.einsum("ij,ij->i", points, points)
 
     def assign():
@@ -347,7 +354,7 @@ def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: f
     history = [e0]
     for n_iter in range(1, params.max_iters + 1):
         previous = centroids.copy()
-        _lloyd_update(points, columns, labels, centroids,
+        _lloyd_update(points, onehot, labels, centroids,
                       lambda: squared_distances(points, previous).min(axis=1))
         new_labels, e1, r1 = assign()
         history.append(e1)
