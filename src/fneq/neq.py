@@ -190,12 +190,12 @@ def train_index(
         points = dataset.items
 
     if mode == "fuzzy2_neq":
-        def fit(sub_points: np.ndarray, seed: int) -> Codebook:
-            return fuse_codebooks(it2fpcm(sub_points, replace(params, seed=seed, c=k_star)), measure)
+        def fit(sub_points: np.ndarray, seed: int) -> tuple[Codebook, None]:
+            return fuse_codebooks(it2fpcm(sub_points, replace(params, seed=seed, c=k_star)), measure), None
     else:
         fit = _kmeans_fit(k_star, params)
     fitted = _fit_codebooks(points, m - m_prime, layout, fit, params.seed)
-    dir_codebooks = tuple(Codebook(_f32_exact(cb.codewords)) for cb in fitted)
+    dir_codebooks = tuple(Codebook(_f32_exact(cb.codewords)) for cb, _ in fitted)
 
     def fit_stage(s: int, residual: np.ndarray) -> NormCodebook:
         if s == 0 and not nonzero.all():

@@ -67,24 +67,26 @@ def _subseeds(seed: int, count: int) -> list[int]:
 
 
 def _fit_codebooks(points: np.ndarray, count: int, layout: SubVectorLayout, fit, seed: int) -> list:
-    """``count`` codebooks by the sub-space rule of ``SubVectorLayout``:
-    codebook ``j`` is ``fit(sub_points, seed_j)`` on sub-space
-    ``j % m_dir`` of the residual that earlier codebooks there leave
-    (each point minus its nearest codeword), with ``_subseeds(seed, count)``.
+    """``count`` pairs ``(codebook, labels)``: pair ``j`` is ``fit(sub_points, seed_j)``
+    on sub-space ``j % m_dir`` of the residual that earlier codebooks there leave
+    (each point minus its nearest codeword: the fit's labels, or found here if None),
+    with ``_subseeds(seed, count)``, by the sub-space rule of ``SubVectorLayout``.
 
     Each round of ``m_dir`` independent fits runs through ``_thread_map``.
     """
     seeds = _subseeds(seed, count)
     slices = layout.slices()
     residual = points.copy() if count > layout.m_dir else points
-    codebooks = []
+    fitted = []
     for start in range(0, count, layout.m_dir):
         if start:
-            for cb, sl in zip(codebooks[-layout.m_dir :], slices):
-                residual[:, sl] -= cb.codewords[nearest_codes(residual[:, sl], cb)]
+            for (cb, labels), sl in zip(fitted[-layout.m_dir :], slices):
+                if labels is None:
+                    labels = nearest_codes(residual[:, sl], cb)
+                residual[:, sl] -= cb.codewords[labels]
         round_seeds = seeds[start : start + layout.m_dir]
-        codebooks += _thread_map(lambda sl, s: fit(residual[:, sl], s), slices, round_seeds)
-    return codebooks
+        fitted += _thread_map(lambda sl, s: fit(residual[:, sl], s), slices, round_seeds)
+    return fitted
 
 
 def _codebook_slices(codebooks: tuple[Codebook, ...], layout: SubVectorLayout) -> list[slice]:
@@ -157,11 +159,12 @@ TRAINING_TOL = 1e-4
 def _kmeans_fit(k_star: int, params: ClusteringParams):
     """The ``fit`` that every k-means trainer hands to ``_fit_codebooks``:
     ``k_star`` centroids at the fit's seed, stopped at ``TRAINING_TOL``,
-    labelled by the encoder's kernel (``kmeans``' ``exact_inertia=False``)."""
+    labelled by the encoder's kernel (``kmeans``' ``exact_inertia=False``),
+    with the final assignments: each point's nearest centroid."""
 
-    def fit(points: np.ndarray, seed: int) -> Codebook:
-        params_at_seed = replace(params, seed=seed)
-        return kmeans(points, k_star, params_at_seed, tol=TRAINING_TOL, exact_inertia=False).centroids
+    def fit(points: np.ndarray, seed: int) -> tuple[Codebook, np.ndarray]:
+        result = kmeans(points, k_star, replace(params, seed=seed), tol=TRAINING_TOL, exact_inertia=False)
+        return result.centroids, result.assignments
 
     return fit
 
@@ -173,9 +176,8 @@ def _train_kmeans(dataset: Dataset, count: int, layout: SubVectorLayout, k_star:
     if k_star > dataset.n:
         raise InvalidInputError(f"k_star={k_star} exceeds n={dataset.n}")
     fit = _kmeans_fit(k_star, params)
-    codebooks = tuple(_fit_codebooks(dataset.items, count, layout, fit, params.seed))
-    codes = encode_batch(dataset.items, codebooks, layout)
-    return codebooks, CodeMatrix(codes, k_stars=(k_star,) * count)
+    codebooks, labels = zip(*_fit_codebooks(dataset.items, count, layout, fit, params.seed))
+    return codebooks, CodeMatrix(np.stack(labels, axis=1), k_stars=(k_star,) * count)
 
 
 def train_pq(
