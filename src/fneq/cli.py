@@ -24,7 +24,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 from . import io
-from .clustering import ClusteringParams, _check_seed
+from .clustering import ClusteringParams, _check_points, _check_seed
 from .core import Dataset, QuerySet, thread_cap
 from .errors import CorruptionError, InvalidInputError
 from .evaluate import (
@@ -157,6 +157,7 @@ def _cmd_train(args) -> int:
         _check_training(args.mode, args.m, args.m_prime, args.k_star)
     with _exits(EXIT_DATA, *_READ_ERRORS):
         dataset = Dataset(io.load_matrix(args.data, args.format))
+        _check_points(dataset.items, 1)  # magnitudes whose squared distances overflow
     with _exits(EXIT_TRAIN, InvalidInputError):
         index = train_index(dataset, args.mode, args.m, args.m_prime, args.k_star, params)
     with _exits(EXIT_DATA, OSError):
