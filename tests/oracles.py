@@ -325,6 +325,13 @@ def lloyd_reference(points: np.ndarray, c: int, params, tol: float = 0.0) -> KMe
     )
 
 
+def cell_sums_reference(points: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
+    """Per cell, the sum of its points: one weighted ``bincount`` per
+    coordinate, which adds a cell's members in ascending order from +0.0
+    (Lloyd's cell sums before they became one sparse one-hot product)."""
+    return np.stack([np.bincount(labels, weights=col, minlength=c) for col in points.T], 1)
+
+
 def fuse_reference(result: FuzzyClusterResult, measure: FuzzyMeasure | None = None) -> Codebook:
     """Interval codebook fusion as a per-cluster, per-coordinate loop: a
     validated two-source ``sugeno_integral`` for every coordinate where

@@ -270,6 +270,13 @@ def test_c08_comparative_trend(trend_reports):
     r_neq = trend_reports["neq_kmeans"].recall_mean
     r_fz = trend_reports["fuzzy2_neq"].recall_mean
     detail = f"mean recall: pq={r_pq:.4f} neq={r_neq:.4f} fuzzy2={r_fz:.4f}"
+    # The modes share resamples and seeds, so per-iteration differences pair.
+    recalls = {name: np.array(trend_reports[mode].recalls)
+               for name, mode in (("pq", "pq"), ("neq", "neq_kmeans"), ("fuzzy2", "fuzzy2_neq"))}
+    for a, b in (("neq", "pq"), ("fuzzy2", "pq"), ("fuzzy2", "neq")):
+        diff = recalls[a] - recalls[b]
+        detail += (f"; paired {a} - {b}: {diff.mean():+.4f} ± {diff.std(ddof=1):.4f} (sd),"
+                   f" {int((diff >= 0).sum())} of {diff.size} ≥ 0")
     assert r_neq >= r_pq - 0.01, detail
     assert r_fz >= r_pq - 0.01, detail
     assert r_fz >= r_neq - 0.01, detail

@@ -67,6 +67,15 @@ class TestTrain:
                     "--m", 2, "--k-star", 4, "--out", tmp_path / "x.fneq"])
         assert code == 2
 
+    def test_data_whose_squared_distances_overflow_is_exit_2(self, tmp_path, capsys):
+        save_csv(tmp_path / "huge.csv", np.random.default_rng(0).normal(size=(200, 8)) * 1e160)
+        code = run(["train", "--data", tmp_path / "huge.csv", "--mode", "pq",
+                    "--m", 4, "--k-star", 4, "--out", tmp_path / "x.fneq"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fneq train: data error: ") and "overflow" in err
+        assert not (tmp_path / "x.fneq").exists()
+
     def test_training_error_is_exit_3(self, workspace):
         tmp, _, _ = workspace
         code = run(["train", "--data", tmp / "items.csv", "--mode", "neq_kmeans",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy
 
 from fneq.clustering import (
     ClusteringParams,
@@ -91,6 +92,41 @@ class TestKMeans:
         assert all(a - b > 1e-2 * b for a, b in zip(history[:-2], history[1:-1]))
         nearest = squared_distances(points, early.centroids.codewords).argmin(axis=1)
         np.testing.assert_array_equal(early.assignments, nearest)
+
+
+    @pytest.mark.parametrize("exact_inertia", [True, False])
+    def test_cell_sums_add_points_in_order(self, exact_inertia):
+        """A cell's mean adds its points one by one in ascending order from
+        +0.0, as numpy's mean over rows does; summed pairwise the points below
+        would give 0, and exactly 2. The sums come from scipy's sparse CSC
+        product, so a scipy release that reorders it moves every codebook."""
+        points = np.array([[1e16, 1.0, -1e16, 1.0], [0.0, 0.0, 0.0, 0.0]]).T
+        result = kmeans(points, 1, ClusteringParams(max_iters=1), exact_inertia=exact_inertia)
+        assert result.centroids.codewords[0, 0] == 0.25, (
+            f"scipy {scipy.__version__} no longer adds a cell's points in order"
+        )
+
+    @pytest.mark.parametrize("scale", [1e153, 1e156, 1e160])
+    @pytest.mark.parametrize("trainer", ["kmeans", "training kmeans", "it2fpcm"])
+    def test_points_whose_squared_distances_overflow_are_rejected(self, trainer, scale):
+        points = np.random.default_rng(0).normal(size=(200, 8)) * scale
+        with pytest.raises(InvalidInputError, match="overflow"):
+            TRAINERS[trainer](points)
+
+    @pytest.mark.parametrize("trainer", ["kmeans", "training kmeans", "it2fpcm"])
+    def test_large_points_below_the_overflow_limit_train(self, trainer):
+        points = np.random.default_rng(0).normal(size=(200, 8)) * 1e140
+        assert np.all(np.isfinite(TRAINERS[trainer](points)))
+
+
+#: Each trainer's centroids for 4 clusters at seed 0.
+TRAINERS = {
+    "kmeans": lambda p: kmeans(p, 4, ClusteringParams(seed=0)).centroids.codewords,
+    "training kmeans": lambda p: kmeans(
+        p, 4, ClusteringParams(seed=0), tol=1e-4, exact_inertia=False
+    ).centroids.codewords,
+    "it2fpcm": lambda p: it2fpcm(p, ClusteringParams(c=4, seed=0)).centroids_lower,
+}
 
 
 class TestClusteringParams:

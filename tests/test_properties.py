@@ -18,6 +18,7 @@ from fneq.clustering import (
     ClusteringParams,
     FuzzyClusterResult,
     _interval_partition,
+    _lloyd_update,
     _shared_ratios,
     it2fpcm,
     kmeans,
@@ -49,6 +50,7 @@ import oracles
 from oracles import (
     bootstrap_eval_reference,
     build_stage_table,
+    cell_sums_reference,
     curve_reference,
     full_sort_topk,
     fuse_reference,
@@ -192,6 +194,54 @@ def test_training_kmeans_equals_kmeans_bit_for_bit(monkeypatch):
 
     check()
     assert reached["repair"] > 0 and reached["fallback"] > 0, reached
+
+
+def test_lloyd_cell_means_equal_bincount_sums_bit_for_bit():
+    """``_lloyd_update``'s sparse one-hot product adds each cell's points in
+    the order of one ``bincount`` per coordinate (``cell_sums_reference``),
+    byte for byte: 1-300 cells, some empty, widths 2-80, entries drawn from
+    a few values and their negations (exact ties and cancellations) with
+    signed zeros, at magnitudes from subnormal to 2^1023, where sums of a
+    few entries overflow. Counts confirm that every case was reached: an
+    infinite sum, a column of -0.0 members, an empty cell, a subnormal."""
+    reached = {"inf": 0, "negative zero": 0, "empty cell": 0, "subnormal": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        d=st.integers(2, 80),
+        c=st.integers(1, 300),
+        distinct=st.integers(1, 6),
+        data=st.data(),
+    )
+    def check(seed, n, d, c, distinct, data):
+        lo, hi = data.draw(st.sampled_from([(-1074, -1000), (-1074, 1023), (-30, 30), (1020, 1023)]))
+        exponents = data.draw(st.lists(st.integers(lo, hi), min_size=distinct, max_size=distinct))
+        negated = data.draw(st.booleans(), label="negations in the pool")
+        used = data.draw(st.integers(1, c), label="labelled cells")
+        rng = np.random.default_rng(seed)
+        pool = rng.uniform(0.5, 1.0, distinct) * np.ldexp(1.0, exponents)
+        pool = np.concatenate([pool, -pool if negated else [], [-0.0, -0.0]])
+        points = rng.choice(pool, size=(n, d))
+        labels = rng.integers(0, used, n)
+        previous = rng.normal(size=(c, d))
+        got = previous.copy()
+        _lloyd_update(points, (np.ones(n), np.arange(n + 1)), labels, got, lambda: np.zeros(n))
+        sums = cell_sums_reference(points, labels, c)
+        counts = np.bincount(labels, minlength=c)
+        want = previous.copy()
+        want[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+        assert got.tobytes() == want.tobytes()
+        reached["inf"] += bool(np.isinf(sums).any())
+        # A cell whose members are all -0.0 in a column sums to +0.0 there.
+        negative_zero = cell_sums_reference(np.signbit(points) & (points == 0), labels, c)
+        reached["negative zero"] += bool(((negative_zero == counts[:, None]) & (counts > 0)[:, None]).any())
+        reached["empty cell"] += bool((counts == 0).any())
+        reached["subnormal"] += bool(((points != 0) & (np.abs(points) < np.finfo(np.float64).tiny)).any())
+
+    check()
+    assert all(reached.values()), reached
 
 
 def draw_tol(data) -> float:
