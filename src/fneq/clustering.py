@@ -21,8 +21,8 @@ Both trainers skip repeated work without changing a bit of output: an
 array changes orientation only where each entry depends on one point and
 one centroid alone or the reduction is a min, and every sum keeps its
 layout or its order (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
-Lloyd's one-hot CSC product adds each cell's members one by one from +0.0,
-``mean``'s order over rows, but not over a width-1 cell, summed pairwise.
+Lloyd's cell sums, a one-hot CSC product, add each cell's members one by one
+from +0.0: ``mean``'s order for ``d >= 2`` (it sums a width-1 cell pairwise).
 """
 
 from __future__ import annotations
