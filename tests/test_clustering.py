@@ -17,6 +17,16 @@ from conftest import make_gaussian_mixture
 from oracles import fpcm_reference, uniform_bin_mse
 
 
+#: Each trainer's centroids for 4 clusters at seed 0.
+TRAINERS = {
+    "kmeans": lambda p: kmeans(p, 4, ClusteringParams(seed=0)).centroids.codewords,
+    "training kmeans": lambda p: kmeans(
+        p, 4, ClusteringParams(seed=0), tol=1e-4, exact_inertia=False
+    ).centroids.codewords,
+    "it2fpcm": lambda p: it2fpcm(p, ClusteringParams(c=4, seed=0)).centroids_lower,
+}
+
+
 class TestKMeans:
     def test_two_separated_pairs(self):
         points = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
@@ -107,26 +117,16 @@ class TestKMeans:
         )
 
     @pytest.mark.parametrize("scale", [1e153, 1e156, 1e160])
-    @pytest.mark.parametrize("trainer", ["kmeans", "training kmeans", "it2fpcm"])
+    @pytest.mark.parametrize("trainer", TRAINERS)
     def test_points_whose_squared_distances_overflow_are_rejected(self, trainer, scale):
         points = np.random.default_rng(0).normal(size=(200, 8)) * scale
         with pytest.raises(InvalidInputError, match="overflow"):
             TRAINERS[trainer](points)
 
-    @pytest.mark.parametrize("trainer", ["kmeans", "training kmeans", "it2fpcm"])
+    @pytest.mark.parametrize("trainer", TRAINERS)
     def test_large_points_below_the_overflow_limit_train(self, trainer):
         points = np.random.default_rng(0).normal(size=(200, 8)) * 1e140
         assert np.all(np.isfinite(TRAINERS[trainer](points)))
-
-
-#: Each trainer's centroids for 4 clusters at seed 0.
-TRAINERS = {
-    "kmeans": lambda p: kmeans(p, 4, ClusteringParams(seed=0)).centroids.codewords,
-    "training kmeans": lambda p: kmeans(
-        p, 4, ClusteringParams(seed=0), tol=1e-4, exact_inertia=False
-    ).centroids.codewords,
-    "it2fpcm": lambda p: it2fpcm(p, ClusteringParams(c=4, seed=0)).centroids_lower,
-}
 
 
 class TestClusteringParams:
