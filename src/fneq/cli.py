@@ -145,6 +145,13 @@ def _load_queries(path: str, fmt: str, dim: int) -> QuerySet:
     return query_set
 
 
+def _load_dataset(args) -> Dataset:
+    """``--data`` as a ``Dataset`` whose squared distances do not overflow."""
+    dataset = Dataset(io.load_matrix(args.data, args.format))
+    _check_points(dataset.items, 1)
+    return dataset
+
+
 def _cmd_train(args) -> int:
     with _exits(EXIT_USAGE, InvalidInputError):
         params = ClusteringParams(
@@ -156,8 +163,7 @@ def _cmd_train(args) -> int:
         )
         _check_training(args.mode, args.m, args.m_prime, args.k_star)
     with _exits(EXIT_DATA, *_READ_ERRORS):
-        dataset = Dataset(io.load_matrix(args.data, args.format))
-        _check_points(dataset.items, 1)  # magnitudes whose squared distances overflow
+        dataset = _load_dataset(args)
     with _exits(EXIT_TRAIN, InvalidInputError):
         index = train_index(dataset, args.mode, args.m, args.m_prime, args.k_star, params)
     with _exits(EXIT_DATA, OSError):
@@ -196,7 +202,7 @@ def _cmd_eval(args) -> int:
         raise _Exit(EXIT_USAGE, "--iterations must be at least 1")
     with _exits(EXIT_DATA, *_READ_ERRORS):
         index = load_index(args.index)
-        dataset = Dataset(io.load_matrix(args.data, args.format))
+        dataset = _load_dataset(args)
         query_set = _load_queries(args.queries, args.format, dataset.dim)
     if args.truth_depth < 1 or args.truth_depth > dataset.n:
         raise _Exit(EXIT_USAGE, f"--truth-depth must lie in [1, {dataset.n}]")
@@ -244,12 +250,16 @@ def _cmd_tune(args) -> int:
             generations=args.generations,
         )
         params = ClusteringParams(seed=args.seed)
+        if args.objective == "recall":
+            _check_training("fuzzy2_neq", args.m, args.m_prime, args.k_star)
+        elif args.k_star < 1:
+            raise InvalidInputError("k_star must be at least 1")
     if args.objective == "recall" and not args.queries:
         raise _Exit(EXIT_USAGE, "--objective recall requires --queries")
     if args.grid_steps < 2:
         raise _Exit(EXIT_USAGE, "--grid-steps must be at least 2")
     with _exits(EXIT_DATA, *_READ_ERRORS):
-        dataset = Dataset(io.load_matrix(args.data, args.format))
+        dataset = _load_dataset(args)
         if args.objective == "recall":
             query_set = _load_queries(args.queries, args.format, dataset.dim)
             if not query_set.count:

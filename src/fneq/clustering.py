@@ -21,8 +21,10 @@ Both trainers skip repeated work without changing a bit of output: an
 array changes orientation only where each entry depends on one point and
 one centroid alone or the reduction is a min, and every sum keeps its
 layout or its order (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
-Lloyd's cell sums, a one-hot CSC product, add each cell's members one by one
-from +0.0: ``mean``'s order for ``d >= 2`` (it sums a width-1 cell pairwise).
+Lloyd k-means is one loop whose rounds label the points by exact distances
+or, for training fits, by the encoder's GEMM kernel (``_train_lloyd``). Its
+cell sums, a one-hot CSC product, add each cell's members one by one from
++0.0: ``mean``'s order for ``d >= 2`` (it sums a width-1 cell pairwise).
 """
 
 from __future__ import annotations
@@ -265,11 +267,10 @@ def kmeans(
     Empty clusters are re-seeded from the point farthest from its
     current centroid; inertia never increases across iterations.
 
-    ``exact_inertia=False`` (training fits) labels with the encoder's GEMM
-    kernel and returns the same centroids, assignments, ``n_iter`` and
-    ``converged`` bit for bit; ``inertia`` and ``inertia_history`` are then
-    the kernel's estimates, and a stop decision within their error bound,
-    or an empty cell, reads exact distances (``_train_lloyd``).
+    Both settings of ``exact_inertia`` run one loop (``_train_lloyd``) and
+    differ only in its labeller: ``False`` (training fits) returns the same
+    centroids, assignments, ``n_iter`` and ``converged`` bit for bit, with
+    ``inertia`` and ``inertia_history`` the encoder's GEMM kernel's estimates.
 
     Each step is bit-identical to a plain loop that takes every cell's
     ``points[member].mean(axis=0)`` and recomputes all distances:
@@ -281,74 +282,44 @@ def kmeans(
       the masked mean, because numpy sums a ``(cnt, 1)`` block pairwise.
     * Empty cells are repaired after the means, in ascending order, from
       the previous assignment's distances, which the means never read.
-    * The ``(c, n)`` distance matrix is kept across iterations and only
-      the rows of centroids that changed are recomputed: each ``cdist``
-      entry depends on one centroid and one point alone, and its terms
-      ``(a - b)**2`` do not depend on the argument order.
-    * ``closest`` is each column's minimum and a label is the first row
-      equal to it: ``argmin``'s lowest-index tie rule. (``argmin(axis=0)``
-      copies the float matrix transposed first; this copies a boolean.)
     """
     points = _check_points(points, c)
     if not tol >= 0.0:
         raise InvalidInputError("tol must be non-negative")
-    if not exact_inertia:
-        return _train_lloyd(points, c, params, tol=tol)
-    rng = np.random.default_rng(params.seed)
-    centroids = kmeans_plusplus(points, c, rng)
-    onehot = (np.ones(len(points)), np.arange(len(points) + 1)) if points.shape[1] > 1 else None
-
-    d2 = squared_distances(centroids, points)
-    closest = d2.min(axis=0)
-    labels = (d2 == closest).argmax(axis=0)
-    history = [float(closest.sum())]
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, params.max_iters + 1):
-        previous = centroids.copy()
-        _lloyd_update(points, onehot, labels, centroids, lambda: closest)
-        moved = np.flatnonzero((centroids != previous).any(axis=1))
-        d2[moved] = squared_distances(centroids[moved], points)
-        closest = d2.min(axis=0)
-        new_labels = (d2 == closest).argmax(axis=0)
-        history.append(float(closest.sum()))
-        stable = np.array_equal(new_labels, labels)
-        labels = new_labels
-        if stable or (tol > 0.0 and history[-2] - history[-1] <= tol * history[-1]):
-            converged = True
-            break
-
-    return KMeansResult(
-        centroids=Codebook(centroids),
-        assignments=labels,
-        inertia=history[-1],
-        n_iter=n_iter,
-        converged=converged,
-        inertia_history=tuple(history),
-    )
+    if exact_inertia:
+        return _train_lloyd(points, c, params, tol=tol, exact=True)
+    return _train_lloyd(points, c, params, tol=tol)
 
 
-def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: float) -> KMeansResult:
-    """``kmeans(points, c, params, tol=tol, exact_inertia=False)`` on checked
-    ``points``. ``E``, the sum of ``_nearest``'s ``best + ||x||²``, lies within
-    ``r = sum(bound) + 2n eps (sum |best + ||x||²| + sum(bound))`` of ``kmeans``'
-    inertia ``I``: each row lies within its ``bound``, and both ``n``-term sums
-    are off by at most ``(n-1) u`` times their magnitudes' sum. So ``I0 - I1 -
-    tol I1`` lies within ``(1 + tol) (r0 + r1)`` of ``gap = E0 - E1 - tol E1``,
-    and the roundings of ``gap`` and of ``kmeans``' test ``I0 - I1 <= tol I1``
-    add ``4u (1 + tol) (|E0| + |E1| + r0 + r1)``. A ``gap`` clear of that sum
-    decides the stop by its sign; otherwise exact ``cdist`` inertias decide.
+def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: float, exact: bool = False) -> KMeansResult:
+    """``kmeans``' Lloyd loop on checked ``points``. A round's labeller gives
+    the labels, an inertia ``E`` and a radius ``r`` about it that holds the
+    exact inertia ``I``: one ``(c, n)`` ``cdist`` with ``E = I`` and ``r = 0``
+    (``exact``), or ``_nearest``'s GEMM with ``E`` the sum of ``best + ||x||²``
+    and ``r = sum(bound) + 2n eps (sum |best + ||x||²| + sum(bound))``, as each
+    row lies within its ``bound`` and both ``n``-term sums are off by at most
+    ``(n-1) u`` times their magnitudes' sum. So ``I0 - I1 - tol I1`` lies within
+    ``(1 + tol) (r0 + r1)`` of ``gap = E0 - E1 - tol E1``, and the roundings of
+    ``gap`` and of the test ``I0 - I1 <= tol I1`` add ``4u (1 + tol) (|E0| + |E1|
+    + r0 + r1)``. A ``gap`` clear of that sum decides the stop by its sign;
+    otherwise exact ``cdist`` inertias decide. At ``r = 0`` that is the test
+    itself: a float difference's sign is exact, and a ``gap`` in the band
+    recomputes the same ``I0`` and ``I1``.
     """
     eps = np.finfo(np.float64).eps
     centroids = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
     onehot = (np.ones(len(points)), np.arange(len(points) + 1)) if points.shape[1] > 1 else None
-    vectors = np.asfortranarray(points)  # the GEMM runs faster on an F-ordered copy
-    x_sq = np.einsum("ij,ij->i", points, points)
+    if not exact:
+        vectors = np.asfortranarray(points)  # the GEMM runs faster on an F-ordered copy
+        x_sq = np.einsum("ij,ij->i", points, points)
 
     def assign():
+        if exact:
+            d2 = squared_distances(centroids, points)
+            return d2.argmin(axis=0), float(d2.min(axis=0).sum()), 0.0
         labels, best, bound = _nearest(vectors, centroids, x_sq)
         best += x_sq
-        return labels, best.sum(), bound.sum() + 2 * len(best) * eps * (np.abs(best).sum() + bound.sum())
+        return labels, float(best.sum()), bound.sum() + 2 * len(best) * eps * (np.abs(best).sum() + bound.sum())
 
     labels, e0, r0 = assign()
     history = [e0]
@@ -369,9 +340,9 @@ def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: f
                 i1 = float(squared_distances(points, centroids).min(axis=1).sum())
                 stop = i0 - i1 <= tol * i1
         if stop:
-            return KMeansResult(Codebook(centroids), labels, e1, n_iter, True, tuple(history))
+            break
         e0, r0 = e1, r1
-    return KMeansResult(Codebook(centroids), labels, e1, params.max_iters, False, tuple(history))
+    return KMeansResult(Codebook(centroids), labels, e1, n_iter, stop, tuple(history))
 
 
 def _shared_ratios(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -69,8 +69,9 @@ def _subseeds(seed: int, count: int) -> list[int]:
 def _fit_codebooks(points: np.ndarray, count: int, layout: SubVectorLayout, fit, seed: int) -> list:
     """``count`` pairs ``(codebook, labels)``: pair ``j`` is ``fit(sub_points, seed_j)``
     on sub-space ``j % m_dir`` of the residual that earlier codebooks there leave
-    (each point minus its nearest codeword: the fit's labels, or found here if None),
-    with ``_subseeds(seed, count)``, by the sub-space rule of ``SubVectorLayout``.
+    (each point minus its codeword by the fit's labels, read only where a later
+    codebook shares the sub-space), with ``_subseeds(seed, count)``, by the
+    sub-space rule of ``SubVectorLayout``.
 
     Each round of ``m_dir`` independent fits runs through ``_thread_map``.
     """
@@ -81,8 +82,6 @@ def _fit_codebooks(points: np.ndarray, count: int, layout: SubVectorLayout, fit,
     for start in range(0, count, layout.m_dir):
         if start:
             for (cb, labels), sl in zip(fitted[-layout.m_dir :], slices):
-                if labels is None:
-                    labels = nearest_codes(residual[:, sl], cb)
                 residual[:, sl] -= cb.codewords[labels]
         round_seeds = seeds[start : start + layout.m_dir]
         fitted += _thread_map(lambda sl, s: fit(residual[:, sl], s), slices, round_seeds)

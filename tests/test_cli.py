@@ -290,6 +290,21 @@ class TestEval:
                     "--queries", tmp / "queries.csv", "--items-list", items_list,
                     "--out-prefix", tmp / "r"]) == 1
 
+    def test_data_whose_squared_distances_overflow_is_exit_2(self, tmp_path, capsys):
+        normal = np.random.default_rng(0).normal(size=(200, 8))
+        save_csv(tmp_path / "items.csv", normal)
+        save_csv(tmp_path / "huge.csv", normal * 1e160)
+        assert run(["train", "--data", tmp_path / "items.csv", "--mode", "pq",
+                    "--m", 4, "--k-star", 4, "--out", tmp_path / "idx.fneq"]) == 0
+        capsys.readouterr()
+        code = run(["eval", "--index", tmp_path / "idx.fneq", "--data", tmp_path / "huge.csv",
+                    "--queries", tmp_path / "items.csv", "--iterations", 1,
+                    "--out-prefix", tmp_path / "r"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fneq eval: data error: ") and "overflow" in err
+        assert not (tmp_path / "r_metrics.csv").exists()
+
 
 class TestTune:
     def test_tune_writes_grid(self, tmp_path, capsys):
@@ -351,6 +366,15 @@ class TestTune:
         assert lines[0] == "xi1,xi2,cost" and len(lines) == 12
         assert lines[-2].startswith("best xi1=") and lines[-1] == "wrote /dev/stdout"
 
+    def test_data_whose_squared_distances_overflow_is_exit_2(self, tmp_path, capsys):
+        save_csv(tmp_path / "huge.csv", np.random.default_rng(0).normal(size=(200, 8)) * 1e160)
+        code = run(["tune", "--data", tmp_path / "huge.csv", "--k-star", 3,
+                    "--out-grid", tmp_path / "grid.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fneq tune: data error: ") and "overflow" in err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_empty_data_is_exit_2_as_for_train(self, tmp_path, capsys):
         (tmp_path / "empty.csv").write_text("")
         assert run(["tune", "--data", tmp_path / "empty.csv",
@@ -376,6 +400,7 @@ class TestExitCodes:
     NO_DATA_NEQ_TRAIN = ["train", "--data", "{tmp}/missing.csv", "--mode", "neq_kmeans",
                          "--m", 3, "--k-star", 8, "--out", "{tmp}/new.fneq"]
     NO_DATA_TUNE = ["tune", "--data", "{tmp}/missing.csv", "--out-grid", "{tmp}/grid.csv"]
+    NO_DATA_RECALL_TUNE = NO_DATA_TUNE + ["--objective", "recall", "--queries", "{tmp}/missing.csv"]
     NO_INDEX_EVAL = ["eval", "--index", "{tmp}/missing.fneq", "--data", "{tmp}/items.csv",
                      "--queries", "{tmp}/queries.csv", "--out-prefix", "{tmp}/r"]
 
@@ -427,6 +452,13 @@ class TestExitCodes:
             NO_INDEX_EVAL + ["--iterations", 0], 1, "fneq eval: --iterations must be at least 1"),
         "tune-grid-steps-0": (
             NO_DATA_TUNE + ["--grid-steps", 0], 1, "fneq tune: --grid-steps must be at least 2"),
+        "tune-k-star-0": (
+            NO_DATA_TUNE + ["--k-star", 0], 1, "fneq tune: k_star must be at least 1"),
+        "tune-recall-k-star-1": (
+            NO_DATA_RECALL_TUNE + ["--k-star", 1], 1, "fneq tune: k_star must be at least 2"),
+        "tune-recall-m-prime-at-m": (
+            NO_DATA_RECALL_TUNE + ["--m", 1, "--m-prime", 1], 1,
+            "fneq tune: m=1 must exceed m_prime=1"),
         "train-neq-k-star-0": (
             NO_DATA_NEQ_TRAIN + ["--k-star", 0], 1, "fneq train: k_star must be at least 2"),
         "train-neq-m-0": (

@@ -122,29 +122,47 @@ def lloyd_points(seed: int, n: int, d: int, distinct: int, values: str, layout: 
     return views[layout]()
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 80),
-    d=st.integers(1, 6),
-    values=st.sampled_from(["normal", "integers", "zeros", "negative zeros"]),
-    layout=st.sampled_from(["contiguous", "column slice", "strided", "fortran"]),
-    max_iters=st.integers(1, 30),
-    data=st.data(),
-)
-def test_kmeans_equals_lloyd_reference_bit_for_bit(seed, n, d, values, layout, max_iters, data):
-    distinct = data.draw(st.integers(1, n), label="distinct")
-    # Few clusters give large cells, where pairwise and sequential sums differ.
-    c = data.draw(st.one_of(st.integers(1, min(n, 3)), st.integers(1, n)), label="c")
-    points = lloyd_points(seed, n, d, distinct, values, layout)
-    params = ClusteringParams(seed=seed, max_iters=max_iters)
-    tol = draw_tol(data)
-    got = kmeans(points, c, params, tol=tol) if tol else kmeans(points, c, params)
-    want = lloyd_reference(points, c, params, tol)
-    assert got.centroids.codewords.tobytes() == want.centroids.codewords.tobytes()
-    np.testing.assert_array_equal(got.assignments, want.assignments)
-    assert got.inertia_history == want.inertia_history
-    assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
+def test_kmeans_equals_lloyd_reference_bit_for_bit(monkeypatch):
+    """``kmeans``, the exact labeller, gives ``lloyd_reference``'s centroids,
+    assignments and inertias bit for bit. A spy counts the calls that reach
+    the empty-cell repair, which both labellers share."""
+    reached = {"repair": 0}
+
+    def counted_update(points, columns, labels, centroids, closest):
+        def counted_closest():
+            reached["repair"] += 1
+            return closest()
+
+        return _lloyd_update(points, columns, labels, centroids, counted_closest)
+
+    monkeypatch.setattr(fneq.clustering, "_lloyd_update", counted_update)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        d=st.integers(1, 6),
+        values=st.sampled_from(["normal", "integers", "zeros", "negative zeros"]),
+        layout=st.sampled_from(["contiguous", "column slice", "strided", "fortran"]),
+        max_iters=st.integers(1, 30),
+        data=st.data(),
+    )
+    def check(seed, n, d, values, layout, max_iters, data):
+        distinct = data.draw(st.integers(1, n), label="distinct")
+        # Few clusters give large cells, where pairwise and sequential sums differ.
+        c = data.draw(st.one_of(st.integers(1, min(n, 3)), st.integers(1, n)), label="c")
+        points = lloyd_points(seed, n, d, distinct, values, layout)
+        params = ClusteringParams(seed=seed, max_iters=max_iters)
+        tol = draw_tol(data)
+        got = kmeans(points, c, params, tol=tol) if tol else kmeans(points, c, params)
+        want = lloyd_reference(points, c, params, tol)
+        assert got.centroids.codewords.tobytes() == want.centroids.codewords.tobytes()
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.inertia_history == want.inertia_history
+        assert (got.inertia, got.n_iter, got.converged) == (want.inertia, want.n_iter, want.converged)
+
+    check()
+    assert reached["repair"] > 0, reached
 
 
 def test_training_kmeans_equals_kmeans_bit_for_bit(monkeypatch):
