@@ -24,7 +24,7 @@ layout or its order (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
 Lloyd k-means is one loop whose rounds label the points by exact distances
 or, for training fits, by the encoder's GEMM kernel (``_train_lloyd``). Its
 cell sums, a one-hot CSC product, add each cell's members one by one from
-+0.0: ``mean``'s order for ``d >= 2`` (it sums a width-1 cell pairwise).
++0.0 at every width (``mean`` sums a width-1 cell pairwise instead).
 """
 
 from __future__ import annotations
@@ -233,16 +233,12 @@ def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.
 
 def _lloyd_update(points, onehot, labels, centroids, closest) -> None:
     """``kmeans``' cell means and empty-cell repair in place; ``closest()`` runs only
-    to repair. ``onehot`` is ``(np.ones(n), np.arange(n + 1))``, or None at ``d == 1``."""
+    to repair. ``onehot`` is ``(np.ones(n), np.arange(n + 1))``."""
     c = len(centroids)
     counts = np.bincount(labels, minlength=c)
     filled = counts > 0
-    if onehot is None:
-        for j in np.flatnonzero(filled):
-            centroids[j] = points[labels == j].mean(axis=0)
-    else:
-        sums = csc_array((onehot[0], labels, onehot[1]), shape=(c, len(labels))) @ points
-        centroids[filled] = sums[filled] / counts[filled, None]
+    sums = csc_array((onehot[0], labels, onehot[1]), shape=(c, len(labels))) @ points
+    centroids[filled] = sums[filled] / counts[filled, None]
     if filled.all():
         return
     closest = closest()
@@ -273,13 +269,12 @@ def kmeans(
     ``inertia`` and ``inertia_history`` the encoder's GEMM kernel's estimates.
 
     Each step is bit-identical to a plain loop that takes every cell's
-    ``points[member].mean(axis=0)`` and recomputes all distances:
+    members summed in ascending order from +0.0 over their count (``mean``
+    for ``d >= 2``) and recomputes all distances:
 
     * Cell sums are one product of a ``(c, n)`` one-hot CSC matrix and
       ``points``: scipy's kernel walks the points in ascending order and adds
-      ``1.0 * x`` (exact) to the point's cell from +0.0, as ``mean``'s
-      row-by-row sum over axis 0 does for ``d >= 2``. Only ``d == 1`` keeps
-      the masked mean, because numpy sums a ``(cnt, 1)`` block pairwise.
+      ``1.0 * x`` (exact) to the point's cell from +0.0.
     * Empty cells are repaired after the means, in ascending order, from
       the previous assignment's distances, which the means never read.
     """
@@ -308,7 +303,7 @@ def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: f
     """
     eps = np.finfo(np.float64).eps
     centroids = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
-    onehot = (np.ones(len(points)), np.arange(len(points) + 1)) if points.shape[1] > 1 else None
+    onehot = (np.ones(len(points)), np.arange(len(points) + 1))
     if not exact:
         vectors = np.asfortranarray(points)  # the GEMM runs faster on an F-ordered copy
         x_sq = np.einsum("ij,ij->i", points, points)
@@ -487,7 +482,7 @@ def kmeans_scalar(
     values: np.ndarray, k: int, *, signed: bool = False, max_iters: int = 100
 ) -> NormCodebook:
     """Scalar Lloyd quantizer, codewords sorted. Values must be
-    non-negative unless ``signed`` (the norm residual stages)."""
+    non-negative unless ``signed``."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise InvalidInputError("cannot train a norm codebook on no values")

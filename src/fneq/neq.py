@@ -140,8 +140,13 @@ class IndexArtifact:
 
 
 def _f32_exact(a: np.ndarray) -> np.ndarray:
-    """Round to the nearest float32 value, kept in float64 storage."""
-    return np.asarray(a, dtype=np.float32).astype(np.float64)
+    """Round to the nearest float32 value, kept in float64 storage; a value
+    beyond float32's range raises ``InvalidInputError`` (``fneq train`` exit 3)."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(a, dtype=np.float32).astype(np.float64)
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError("codebook values must lie within float32's range (±3.4e38)")
+    return out
 
 
 def _mode_m_dir(mode: str, m: int, m_prime: int) -> int:
@@ -198,16 +203,11 @@ def train_index(
     dir_codebooks = tuple(Codebook(_f32_exact(cb.codewords)) for cb, _ in fitted)
 
     def fit_stage(s: int, residual: np.ndarray) -> NormCodebook:
-        if s == 0 and not nonzero.all():
-            # Zero-norm items must reconstruct to the zero vector, so the
-            # zero point-mass gets its own exact codeword.
-            tail = kmeans_scalar(residual[nonzero], k_star - 1).values
-            values = np.sort(np.concatenate([[0.0], tail]))
-        elif s == 0:
-            values = kmeans_scalar(residual, k_star).values
-        else:
-            values = kmeans_scalar(residual, k_star, signed=True).values
-        return NormCodebook(_f32_exact(values), signed=s > 0)
+        # Zero-norm items must reconstruct to the zero vector, so stage 0 gives their
+        # point mass its own exact codeword (``IndexArtifact`` sets each stage's sign).
+        zeros = s == 0 and not nonzero.all()
+        values = kmeans_scalar(residual[nonzero] if zeros else residual, k_star - zeros, signed=True).values
+        return NormCodebook(_f32_exact(np.sort(np.append(values, 0.0)) if zeros else values), signed=True)
 
     norm_codebooks, codes = _encode(dataset.items, layout, dir_codebooks, m_prime, fit_stage)
     md = IndexMetadata(

@@ -138,7 +138,7 @@ def load_index(path: str | os.PathLike) -> IndexArtifact:
         return IndexArtifact(
             mode=mode,
             layout=layout,
-            norm_codebooks=tuple(NormCodebook(v, signed=s > 0) for s, v in enumerate(norms)),
+            norm_codebooks=tuple(NormCodebook(v, signed=True) for v in norms),
             dir_codebooks=tuple(Codebook(cw) for cw in dirs),
             codes=CodeMatrix(codes.T, k_stars=(k_star,) * m),
             metadata=IndexMetadata(D=D, n=n, m=m, m_prime=m_prime, k_star=k_star, seed=seed),

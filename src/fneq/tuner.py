@@ -75,9 +75,10 @@ def _repaired(objective):
         try:
             return float(objective(x1, x2))
         except Exception as exc:
-            raise RuntimeError(
-                f"objective failed at genome (xi1={x1:.6g}, xi2={x2:.6g})"
-            ) from exc
+            genome = f"genome (xi1={x1:.6g}, xi2={x2:.6g})"
+            if isinstance(exc, InvalidInputError):  # a data fault keeps its type
+                raise InvalidInputError(f"{exc}, at {genome}") from exc
+            raise RuntimeError(f"objective failed at {genome}") from exc
 
     return call
 
@@ -103,18 +104,21 @@ def ga_optimize(objective, config: GAConfig) -> GAResult:
     def per_generation(xk, convergence=None):
         history.append(best_so_far[0])
 
-    result = differential_evolution(
-        tracked,
-        bounds=[config.bounds, config.bounds],
-        maxiter=config.generations,
-        popsize=max(2, math.ceil(config.population / 2)),
-        mutation=config.mutation_rate,
-        recombination=config.recombination_rate,
-        tol=config.tolerance,
-        seed=config.seed,
-        polish=False,
-        callback=per_generation,
-    )
+    try:
+        result = differential_evolution(
+            tracked,
+            bounds=[config.bounds, config.bounds],
+            maxiter=config.generations,
+            popsize=max(2, math.ceil(config.population / 2)),
+            mutation=config.mutation_rate,
+            recombination=config.recombination_rate,
+            tol=config.tolerance,
+            seed=config.seed,
+            polish=False,
+            callback=per_generation,
+        )
+    except RuntimeError as exc:  # scipy re-raises the objective's ValueErrors as RuntimeError
+        raise exc.__cause__ if isinstance(exc.__cause__, InvalidInputError) else exc
     xi1, xi2 = sorted(float(v) for v in result.x)
     return GAResult(
         xi1=xi1,

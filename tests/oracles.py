@@ -282,11 +282,13 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def lloyd_reference(points: np.ndarray, c: int, params, tol: float = 0.0) -> KMeansResult:
-    """Lloyd k-means as a per-cluster loop: every cell's masked mean and
-    a full distance recomputation per iteration, on the points as given
-    (strided views included). Shares only the k-means++ seeding. Stops
-    when the labels repeat or, for ``tol > 0``, when the inertia falls
-    by at most ``tol`` times its new value, keeping the new labels."""
+    """Lloyd k-means as a per-cluster loop: every cell's members summed in
+    ascending order from +0.0 over their count (``mean`` for ``d >= 2``;
+    it sums a width-1 cell pairwise) and a full distance recomputation per
+    iteration, on the points as given (strided views included). Shares
+    only the k-means++ seeding. Stops when the labels repeat or, for
+    ``tol > 0``, when the inertia falls by at most ``tol`` times its new
+    value, keeping the new labels."""
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     centroids = kmeans_plusplus(points, c, rng)
@@ -299,7 +301,7 @@ def lloyd_reference(points: np.ndarray, c: int, params, tol: float = 0.0) -> KMe
         for j in range(c):
             member = labels == j
             if member.any():
-                centroids[j] = points[member].mean(axis=0)
+                centroids[j] = (np.cumsum(points[member], axis=0)[-1] + 0.0) / member.sum()
             else:
                 far = int(np.argmax(closest))
                 if closest[far] > 0:

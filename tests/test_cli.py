@@ -28,6 +28,7 @@ def workspace(tmp_path):
     save_csv(tmp_path / "items.csv", items)
     save_csv(tmp_path / "queries.csv", queries)
     save_fvecs(tmp_path / "items.fvecs", items)
+    save_csv(tmp_path / "huge.csv", items * 1e140)  # codewords beyond float32's range
     (tmp_path / "not_utf8.csv").write_bytes(b"1,2\n3,\xff4\n")
     return tmp_path, items, queries
 
@@ -322,6 +323,17 @@ class TestTune:
         for row in rows[1:]:
             assert 2.0 <= float(row[0]) <= 12.0
 
+    def test_recall_objective_writes_grid(self, tmp_path, capsys):
+        save_csv(tmp_path / "points.csv", np.random.default_rng(5).normal(size=(200, 8)))
+        assert run(["tune", "--data", tmp_path / "points.csv", "--objective", "recall",
+                    "--queries", tmp_path / "points.csv", "--k-star", 4, "--m", 3,
+                    "--m-prime", 1, "--population", 2, "--generations", 1, "--grid-steps", 2,
+                    "--out-grid", tmp_path / "grid.csv"]) == 0
+        assert capsys.readouterr().out.startswith("best xi1=")
+        with open(tmp_path / "grid.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["xi1", "xi2", "cost"] and len(rows) == 5
+
     @pytest.mark.parametrize("query_rows", [4, 0])
     def test_recall_queries_of_other_dimension_or_none_are_exit_2(
         self, tmp_path, capsys, query_rows
@@ -403,6 +415,9 @@ class TestExitCodes:
     NO_DATA_RECALL_TUNE = NO_DATA_TUNE + ["--objective", "recall", "--queries", "{tmp}/missing.csv"]
     NO_INDEX_EVAL = ["eval", "--index", "{tmp}/missing.fneq", "--data", "{tmp}/items.csv",
                      "--queries", "{tmp}/queries.csv", "--out-prefix", "{tmp}/r"]
+    # A data fault inside the recall objective keeps its type through the search.
+    RECALL_TUNE = TUNE + ["--objective", "recall", "--queries", "{tmp}/items.csv",
+                          "--out-grid", "{tmp}/grid.csv"]
 
     CASES = {
         "train-out-in-missing-dir": (
@@ -433,6 +448,19 @@ class TestExitCodes:
             3, "fneq tune: training error: not enough training points"),
         "tune-out-grid-in-missing-dir": (
             TUNE + ["--out-grid", "{tmp}/missing/grid.csv"], 2, "fneq tune: data error: "),
+        "tune-recall-k-star-above-points": (
+            RECALL_TUNE + ["--k-star", 300, "--m", 3], 3, "fneq tune: training error: "),
+        "tune-recall-m-dir-not-dividing-D": (
+            RECALL_TUNE + ["--k-star", 4, "--m", 6, "--m-prime", 1], 3,
+            "fneq tune: training error: "),
+        "train-pq-codewords-beyond-float32": (
+            ["train", "--data", "{tmp}/huge.csv", "--mode", "pq", "--m", 3, "--k-star", 4,
+             "--out", "{tmp}/new.fneq"], 3,
+            "fneq train: training error: codebook values must lie within float32's range"),
+        "train-neq-norms-beyond-float32": (
+            ["train", "--data", "{tmp}/huge.csv", "--mode", "neq_kmeans", "--m", 3, "--k-star", 4,
+             "--out", "{tmp}/new.fneq"], 3,
+            "fneq train: training error: codebook values must lie within float32's range"),
         "train-xi1-0.5": (
             NO_DATA_TRAIN + ["--xi1", 0.5], 1,
             "fneq train: fuzziness interval must satisfy 1 < xi1 <= xi2"),
@@ -476,6 +504,7 @@ class TestExitCodes:
             2, "fneq query: data error: "),
     }
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a failure prints its one line only
     @pytest.mark.parametrize("argv,code,prefix", CASES.values(), ids=CASES.keys())
     def test_failure_exit_code_and_message(self, workspace, capsys, argv, code, prefix):
         tmp, _, _ = workspace

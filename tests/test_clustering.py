@@ -107,14 +107,18 @@ class TestKMeans:
     @pytest.mark.parametrize("exact_inertia", [True, False])
     def test_cell_sums_add_points_in_order(self, exact_inertia):
         """A cell's mean adds its points one by one in ascending order from
-        +0.0, as numpy's mean over rows does; summed pairwise the points below
-        would give 0, and exactly 2. The sums come from scipy's sparse CSC
-        product, so a scipy release that reorders it moves every codebook."""
-        points = np.array([[1e16, 1.0, -1e16, 1.0], [0.0, 0.0, 0.0, 0.0]]).T
-        result = kmeans(points, 1, ClusteringParams(max_iters=1), exact_inertia=exact_inertia)
-        assert result.centroids.codewords[0, 0] == 0.25, (
-            f"scipy {scipy.__version__} no longer adds a cell's points in order"
-        )
+        +0.0 at every width, as numpy's mean over rows does for widths of 2
+        and more; summed pairwise the width-2 points below would give 0, and
+        exactly 2, and numpy's ``mean`` of the width-1 points reads 0.8. The
+        sums come from scipy's sparse CSC product, so a scipy release that
+        reorders it moves every codebook."""
+        cases = [(np.array([[1e16, 1.0, -1e16, 1.0], [0.0] * 4]).T, 0.25),
+                 (np.array([[1e16] + [1.0] * 8 + [-1e16]]).T, 0.0)]
+        for points, mean in cases:
+            result = kmeans(points, 1, ClusteringParams(max_iters=1), exact_inertia=exact_inertia)
+            assert result.centroids.codewords[0, 0] == mean, (
+                f"scipy {scipy.__version__} no longer adds a cell's points in order"
+            )
 
     @pytest.mark.parametrize("scale", [1e153, 1e156, 1e160])
     @pytest.mark.parametrize("trainer", TRAINERS)

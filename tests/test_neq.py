@@ -187,12 +187,15 @@ class TestEstimateInnerProduct:
         assert counter.adds == cost["adds"] == adds
         assert counter.multiplies == cost["multiplies"] == multiplies
 
-    @pytest.mark.parametrize("position,part", [(0, "norm"), (1, "direction"), (2, "direction")])
+    @pytest.mark.parametrize("position,part", [
+        (0, "norm"), (1, "direction"), (2, "direction"), (3, "expected 3 codes per item"),
+    ])
     def test_negative_codes_rejected_like_reconstruct(self, position, part):
+        """Position 3 makes the row one code too long."""
         data = Dataset(make_mips_data(60, 8, seed=11))
         index = train_neq(data, m=3, m_prime=1, k_star=4, mode="neq_kmeans",
                           params=ClusteringParams(seed=11))
-        row = index.codes.codes[0].astype(np.int64)
+        row = np.resize(index.codes.codes[0].astype(np.int64), max(position + 1, 3))
         row[position] = -1
         with pytest.raises(CorruptionError):
             reconstruct(row, index)
@@ -210,11 +213,13 @@ class TestEstimateInnerProduct:
         np.testing.assert_allclose(scanned, expected, rtol=1e-12)
 
 
-def layout_artifact(mode, D, m_dir, widths, m_prime=0, k=2, n=3):
+def layout_artifact(mode, D, m_dir, widths, m_prime=0, k=2, n=3, code_m=None, md=()):
     """Hand-built artifact with direction codebooks of the given widths
-    on ``SubVectorLayout(D, m_dir)`` and all-zero codes."""
+    on ``SubVectorLayout(D, m_dir)`` and all-zero codes, ``code_m`` of them
+    per item (default ``m``); ``md`` overrides metadata fields."""
     rng = np.random.default_rng(0)
     m = m_prime + len(widths)
+    code_m = m if code_m is None else code_m
     return IndexArtifact(
         mode=mode,
         layout=SubVectorLayout(D=D, m_dir=m_dir),
@@ -222,8 +227,9 @@ def layout_artifact(mode, D, m_dir, widths, m_prime=0, k=2, n=3):
             NormCodebook(np.linspace(0.5, 1.0, k), signed=s > 0) for s in range(m_prime)
         ),
         dir_codebooks=tuple(Codebook(rng.normal(size=(k, w))) for w in widths),
-        codes=CodeMatrix(np.zeros((n, m), dtype=np.int64), k_stars=(k,) * m),
-        metadata=IndexMetadata(D=D, n=n, m=m, m_prime=m_prime, k_star=k, seed=0),
+        codes=CodeMatrix(np.zeros((n, code_m), dtype=np.int64), k_stars=(k,) * code_m),
+        metadata=IndexMetadata(**{"D": D, "n": n, "m": m, "m_prime": m_prime, "k_star": k,
+                                  "seed": 0, **dict(md)}),
     )
 
 
@@ -246,6 +252,15 @@ class TestIndexArtifact:
     def test_direction_codebooks_must_follow_the_layout(self, mode, D, m_dir, widths, m_prime):
         with pytest.raises(InvalidInputError):
             layout_artifact(mode, D, m_dir, widths, m_prime)
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"md": {"m_prime": 2}}, "m_prime disagrees"),
+        ({"md": {"m": 4}}, "m disagrees"),
+        ({"code_m": 4}, "code matrix width"),
+    ])
+    def test_metadata_and_code_width_must_follow_the_codebooks(self, edit, message):
+        with pytest.raises(InvalidInputError, match=message):
+            layout_artifact("neq_kmeans", 4, 2, (2, 2), 1, **edit)
 
     def test_norm_stages_and_code_bounds_must_load_back(self):
         index = layout_artifact("neq_kmeans", 4, 2, (2, 2), m_prime=1)

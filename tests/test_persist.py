@@ -360,8 +360,9 @@ class TestGoldenBytes:
         assert_same_payload(load_index(spelled), index)
 
 
-# Byte offsets of the u32 header fields.
-FIELDS = {"D": 7, "n": 11, "m": 15, "m_prime": 19, "k_star": 23}
+# Byte offsets and sizes of the integer header fields: the u8 mode code, then u32s.
+FIELDS = {"mode": (6, 1), "D": (7, 4), "n": (11, 4), "m": (15, 4), "m_prime": (19, 4),
+          "k_star": (23, 4)}
 U32 = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 16), st.just(2**32 - 1))
 edits = st.one_of(
     st.tuples(st.just("truncate"), st.integers(min_value=0)),
@@ -371,9 +372,11 @@ edits = st.one_of(
 
 
 def with_fields(raw, fields):
+    """``raw`` with each field set to ``value`` modulo its width."""
     raw = bytearray(raw)
     for name, value in fields.items():
-        raw[FIELDS[name] : FIELDS[name] + 4] = value.to_bytes(4, "little")
+        at, size = FIELDS[name]
+        raw[at : at + size] = (value % 256**size).to_bytes(size, "little")
     return raw
 
 
@@ -383,6 +386,8 @@ def with_fields(raw, fields):
 @example(case="rq", edit=("fields", {"D": 1, "n": 19, "m_prime": 3}))
 @example(case="neq_kmeans", edit=("fields", {"n": 2**32 - 1, "m": 2**32 - 1, "k_star": 0}))
 @example(case="fuzzy2_neq", edit=("fields", {"m_prime": 2**32 - 1}))
+@example(case="pq", edit=("fields", {"mode": 4}))  # no such mode
+@example(case="neq_kmeans", edit=("fields", {"mode": 3}))
 def test_edited_file_is_corrupt_or_resaves_to_its_bytes(case, edit):
     raw = bytearray(golden_bytes(*GOLDEN[case]))
     kind, arg = edit
