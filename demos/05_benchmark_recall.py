@@ -3,7 +3,8 @@
 Per iteration, the codebooks are retrained on a with-replacement
 resample of the items and the original corpus is re-encoded and scanned
 against its exact ground truth. Metric and curve CSVs land next to this
-script in ``bench_out/``.
+script in ``bench_out/``. The last lines pair each NEQ mode's recall
+with pq's, iteration by iteration.
 """
 
 from pathlib import Path
@@ -56,6 +57,15 @@ for mode in ("pq", "rq", "neq_kmeans", "fuzzy2_neq"):
     print(f"{mode:12s} recall={report.recall_mean:.4f} (+/- {report.recall_std:.4f}) "
           f"f1={report.f1_mean:.4f} time/iter={report.time_mean:.2f}s")
     print(f"{'':12s} curve: " + "  ".join(f"{n}:{r:.3f}" for n, r in report.curve))
+
+# Every mode resamples the same rows at seed 9, so iteration i of one mode
+# pairs with iteration i of another.
+print("\npaired recall difference against pq, over the same resamples:")
+pq_recalls = np.array(reports[0].recalls)
+for report in reports[2:]:
+    diff = np.array(report.recalls) - pq_recalls
+    print(f"{report.method:12s} {diff.mean():+.4f} (+/- {diff.std(ddof=1):.4f} sd), "
+          f"{int((diff >= 0).sum())} of {diff.size} >= 0")
 
 write_metrics_csv(out_dir / "metrics.csv", reports)
 print(f"\nwrote {out_dir}/metrics.csv and per-method curve CSVs")

@@ -72,6 +72,19 @@ def _require_finite(a: np.ndarray, name: str) -> None:
         raise InvalidInputError(f"{name} must contain only finite values")
 
 
+def _freeze_field(obj, name: str, ndim: int, nonempty: int = 0, capped: bool = False) -> None:
+    """Store field ``name`` of ``obj`` as a read-only float64 copy: ``ndim`` axes, the first
+    ``nonempty`` of them non-empty, at most ``MAX_CODEWORDS`` rows if ``capped``, all finite."""
+    a = np.asarray(getattr(obj, name), dtype=np.float64)
+    if a.ndim != ndim or 0 in a.shape[:nonempty]:
+        kind = f"{'non-empty ' if nonempty else ''}{ndim}-D {'matrix' if ndim == 2 else 'array'}"
+        raise InvalidInputError(f"{name} must be a {kind}, got shape {a.shape}")
+    if capped and a.shape[0] > MAX_CODEWORDS:
+        raise InvalidInputError(f"k_star={a.shape[0]} exceeds the {MAX_CODEWORDS} code-width bound")
+    _require_finite(a, name)
+    object.__setattr__(obj, name, _frozen(a))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An item corpus: ``n`` rows of ``D`` finite features."""
@@ -79,13 +92,7 @@ class Dataset:
     items: np.ndarray
 
     def __post_init__(self):
-        items = np.asarray(self.items, dtype=np.float64)
-        if items.ndim != 2 or items.shape[0] < 1 or items.shape[1] < 1:
-            raise InvalidInputError(
-                f"items must be a non-empty 2-D matrix, got shape {items.shape}"
-            )
-        _require_finite(items, "items")
-        object.__setattr__(self, "items", _frozen(items))
+        _freeze_field(self, "items", ndim=2, nonempty=2)
 
     @property
     def n(self) -> int:
@@ -103,13 +110,7 @@ class QuerySet:
     queries: np.ndarray
 
     def __post_init__(self):
-        queries = np.asarray(self.queries, dtype=np.float64)
-        if queries.ndim != 2:
-            raise InvalidInputError(
-                f"queries must be a 2-D matrix, got shape {queries.shape}"
-            )
-        _require_finite(queries, "queries")
-        object.__setattr__(self, "queries", _frozen(queries))
+        _freeze_field(self, "queries", ndim=2)
 
     @property
     def count(self) -> int:
@@ -160,17 +161,7 @@ class Codebook:
     codewords: np.ndarray
 
     def __post_init__(self):
-        cw = np.asarray(self.codewords, dtype=np.float64)
-        if cw.ndim != 2 or cw.shape[0] < 1:
-            raise InvalidInputError(
-                f"codewords must be a non-empty 2-D matrix, got shape {cw.shape}"
-            )
-        if cw.shape[0] > MAX_CODEWORDS:
-            raise InvalidInputError(
-                f"k_star={cw.shape[0]} exceeds the {MAX_CODEWORDS} code-width bound"
-            )
-        _require_finite(cw, "codewords")
-        object.__setattr__(self, "codewords", _frozen(cw))
+        _freeze_field(self, "codewords", ndim=2, nonempty=1, capped=True)
 
     @property
     def k_star(self) -> int:
@@ -194,19 +185,11 @@ class NormCodebook:
     signed: bool = False
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.shape[0] < 1:
-            raise InvalidInputError("values must be a non-empty 1-D array")
-        if vals.shape[0] > MAX_CODEWORDS:
-            raise InvalidInputError(
-                f"k_star={vals.shape[0]} exceeds the {MAX_CODEWORDS} code-width bound"
-            )
-        _require_finite(vals, "values")
-        if np.any(np.diff(vals) < 0):
+        _freeze_field(self, "values", ndim=1, nonempty=1, capped=True)
+        if np.any(np.diff(self.values) < 0):
             raise InvalidInputError("values must be sorted ascending")
-        if not self.signed and vals[0] < 0:
+        if not self.signed and self.values[0] < 0:
             raise InvalidInputError("unsigned norm codewords must be >= 0")
-        object.__setattr__(self, "values", _frozen(vals))
 
     @property
     def k_star(self) -> int:

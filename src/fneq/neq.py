@@ -170,6 +170,14 @@ def _check_training(mode: str, m: int, m_prime: int, k_star: int) -> tuple[int, 
     return m_prime, _mode_m_dir(mode, m, m_prime)
 
 
+def _fuzzy_fit(k_star: int, params: ClusteringParams, measure: FuzzyMeasure | None):
+    """``fuzzy2_neq``'s counterpart of ``quantizers._kmeans_fit``: ``k_star`` interval
+    type-2 clusters at the fit's seed, fused into one crisp codebook, and no labels."""
+    def fit(points: np.ndarray, seed: int) -> tuple[Codebook, None]:
+        return fuse_codebooks(it2fpcm(points, replace(params, seed=seed, c=k_star)), measure), None
+    return fit
+
+
 def train_index(
     dataset: Dataset,
     mode: str,
@@ -194,11 +202,7 @@ def train_index(
     else:
         points = dataset.items
 
-    if mode == "fuzzy2_neq":
-        def fit(sub_points: np.ndarray, seed: int) -> tuple[Codebook, None]:
-            return fuse_codebooks(it2fpcm(sub_points, replace(params, seed=seed, c=k_star)), measure), None
-    else:
-        fit = _kmeans_fit(k_star, params)
+    fit = _fuzzy_fit(k_star, params, measure) if mode == "fuzzy2_neq" else _kmeans_fit(k_star, params)
     fitted = _fit_codebooks(points, m - m_prime, layout, fit, params.seed)
     dir_codebooks = tuple(Codebook(_f32_exact(cb.codewords)) for cb, _ in fitted)
 

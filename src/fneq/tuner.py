@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import differential_evolution
 
-from .aggregation import FuzzyMeasure, fuse_codebooks
-from .clustering import ClusteringParams, it2fpcm
-from .core import Dataset, QuerySet, _thread_map
+from .aggregation import FuzzyMeasure
+from .clustering import ClusteringParams
+from .core import Dataset, QuerySet, SubVectorLayout, _thread_map, row_norms
 from .errors import InvalidInputError
 from .evaluate import exact_topk, recall
-from .neq import top_k, train_index
+from .neq import _check_training, _fuzzy_fit, top_k, train_index
 from .persist import _write_csv
 from .quantizers import nearest_codes
 
@@ -150,6 +150,12 @@ def write_grid_csv(path, grid: np.ndarray) -> None:
     _write_csv(path, GRID_HEADER, rows)
 
 
+def _at_interval(params: ClusteringParams, cost):
+    """``objective(xi1, xi2)``: ``cost`` of ``params`` with fuzziness and possibility [xi1, xi2]."""
+    return lambda xi1, xi2: cost(
+        replace(params, xi_lower=xi1, xi_upper=xi2, eta_lower=xi1, eta_upper=xi2))
+
+
 def make_quantization_mse_objective(
     points: np.ndarray,
     k_star: int,
@@ -170,16 +176,12 @@ def make_quantization_mse_objective(
     if train.shape[0] < k_star:
         raise InvalidInputError("not enough training points for the requested k_star")
 
-    def objective(xi1: float, xi2: float) -> float:
-        p = replace(
-            params, xi_lower=xi1, xi_upper=xi2, eta_lower=xi1, eta_upper=xi2, c=k_star
-        )
-        codebook = fuse_codebooks(it2fpcm(train, p), measure)
-        codes = nearest_codes(holdout, codebook)
-        err = holdout - codebook.codewords[codes]
+    def cost(p: ClusteringParams) -> float:
+        codebook = _fuzzy_fit(k_star, p, measure)(train, p.seed)[0]
+        err = holdout - codebook.codewords[nearest_codes(holdout, codebook)]
         return float(np.mean(np.einsum("ij,ij->i", err, err)))
 
-    return objective
+    return _at_interval(params, cost)
 
 
 def make_recall_objective(
@@ -194,17 +196,22 @@ def make_recall_objective(
 ):
     """Cost = negated mean recall of a fuzzy index at the given setting.
 
-    Retrains the whole index per evaluation; use small data.
+    Retrains the whole index per evaluation; use small data. The checks that
+    no genome changes (the layout, ``k_star`` against the non-zero items) run
+    before the exact truth.
     """
     if not queries.count:
         raise InvalidInputError("the recall objective needs at least one query")
+    SubVectorLayout(D=dataset.dim, m_dir=_check_training("fuzzy2_neq", m, m_prime, k_star)[1])
+    nonzero = int(np.count_nonzero(row_norms(dataset.items)))
+    if k_star > nonzero:
+        raise InvalidInputError(f"k_star={k_star} exceeds the {nonzero} non-zero items")
     truth = exact_topk(dataset, queries, truth_depth)
 
-    def objective(xi1: float, xi2: float) -> float:
-        p = replace(params, xi_lower=xi1, xi_upper=xi2, eta_lower=xi1, eta_upper=xi2)
+    def cost(p: ClusteringParams) -> float:
         index = train_index(dataset, "fuzzy2_neq", m, m_prime, k_star, p, measure=measure)
         recalls = [recall(top_k(q, index, truth_depth)[0], truth.ids[i])
                    for i, q in enumerate(queries.queries)]
         return -float(np.mean(recalls))
 
-    return objective
+    return _at_interval(params, cost)

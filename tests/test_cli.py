@@ -30,6 +30,8 @@ def workspace(tmp_path):
     save_fvecs(tmp_path / "items.fvecs", items)
     save_csv(tmp_path / "huge.csv", items * 1e140)  # codewords beyond float32's range
     (tmp_path / "not_utf8.csv").write_bytes(b"1,2\n3,\xff4\n")
+    (tmp_path / "inf.csv").write_text("1,2\n3,inf\n")
+    (tmp_path / "truncated.fvecs").write_bytes(b"\x02\x00")  # half a dimension header
     return tmp_path, items, queries
 
 
@@ -449,10 +451,11 @@ class TestExitCodes:
         "tune-out-grid-in-missing-dir": (
             TUNE + ["--out-grid", "{tmp}/missing/grid.csv"], 2, "fneq tune: data error: "),
         "tune-recall-k-star-above-points": (
-            RECALL_TUNE + ["--k-star", 300, "--m", 3], 3, "fneq tune: training error: "),
+            RECALL_TUNE + ["--k-star", 300, "--m", 3], 3,
+            "fneq tune: training error: k_star=300 exceeds the 100 non-zero items\n"),
         "tune-recall-m-dir-not-dividing-D": (
             RECALL_TUNE + ["--k-star", 4, "--m", 6, "--m-prime", 1], 3,
-            "fneq tune: training error: "),
+            "fneq tune: training error: m_dir=5 does not divide D=12; pad the data first"),
         "train-pq-codewords-beyond-float32": (
             ["train", "--data", "{tmp}/huge.csv", "--mode", "pq", "--m", 3, "--k-star", 4,
              "--out", "{tmp}/new.fneq"], 3,
@@ -499,6 +502,12 @@ class TestExitCodes:
         "train-data-not-utf8": (
             ["train", "--data", "{tmp}/not_utf8.csv", "--mode", "pq", "--m", 1, "--k-star", 1,
              "--out", "{tmp}/new.fneq"], 2, "fneq train: data error: "),
+        "train-data-non-finite": (
+            ["train", "--data", "{tmp}/inf.csv", "--mode", "pq", "--m", 1, "--k-star", 1,
+             "--out", "{tmp}/new.fneq"], 2, "fneq train: data error: "),
+        "train-fvecs-truncated-header": (
+            ["train", "--data", "{tmp}/truncated.fvecs", "--format", "fvecs", "--mode", "pq",
+             "--m", 1, "--k-star", 1, "--out", "{tmp}/new.fneq"], 2, "fneq train: data error: "),
         "query-queries-not-utf8": (
             ["query", "--index", "{tmp}/idx.fneq", "--queries", "{tmp}/not_utf8.csv"],
             2, "fneq query: data error: "),

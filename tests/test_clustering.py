@@ -273,3 +273,7 @@ class TestKMeansScalar:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             kmeans_scalar(np.array([]), 2)
+        with pytest.raises(InvalidInputError, match="values must be finite"):
+            kmeans_scalar(np.array([1.0, np.inf]), 2)
+        with pytest.raises(InvalidInputError, match="k must be at least 1"):
+            kmeans_scalar(np.array([1.0, 2.0]), 0)

@@ -1,7 +1,11 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from fneq.core import (
+    MAX_CODEWORDS,
     CodeMatrix,
     Codebook,
     Dataset,
@@ -86,6 +90,60 @@ class TestDirectionVector:
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroNormError):
             direction_vector(np.zeros(4))
+
+
+#: (type, shape, the rejection's message, or None where the type accepts the shape).
+SHAPE_VERDICTS = [
+    (Dataset, (2, 3), None),
+    (Dataset, (0, 3), "items must be a non-empty 2-D matrix, got shape (0, 3)"),
+    (Dataset, (3, 0), "items must be a non-empty 2-D matrix, got shape (3, 0)"),
+    (Dataset, (0, 0), "items must be a non-empty 2-D matrix, got shape (0, 0)"),
+    (Dataset, (3,), "items must be a non-empty 2-D matrix, got shape (3,)"),
+    (QuerySet, (0, 3), None),
+    (QuerySet, (3, 0), None),
+    (QuerySet, (0, 0), None),
+    (QuerySet, (3,), "queries must be a 2-D matrix, got shape (3,)"),
+    (QuerySet, (1, 2, 3), "queries must be a 2-D matrix, got shape (1, 2, 3)"),
+    (Codebook, (3, 0), None),
+    (Codebook, (0, 3), "codewords must be a non-empty 2-D matrix, got shape (0, 3)"),
+    (Codebook, (3,), "codewords must be a non-empty 2-D matrix, got shape (3,)"),
+    (Codebook, (MAX_CODEWORDS, 1), None),
+    (Codebook, (MAX_CODEWORDS + 1, 1), "k_star=65536 exceeds the 65535 code-width bound"),
+    (NormCodebook, (1,), None),
+    (NormCodebook, (0,), "values must be a non-empty 1-D array"),
+    (NormCodebook, (), "values must be a non-empty 1-D array"),
+    (NormCodebook, (2, 1), "values must be a non-empty 1-D array"),
+    (NormCodebook, (MAX_CODEWORDS,), None),
+    (NormCodebook, (MAX_CODEWORDS + 1,), "k_star=65536 exceeds the 65535 code-width bound"),
+]
+SMALLEST = {Dataset: (1, 1), QuerySet: (1, 1), Codebook: (1, 1), NormCodebook: (1,)}
+
+
+class TestFrozenArrayTypes:
+    @pytest.mark.parametrize("cls,shape,message", SHAPE_VERDICTS,
+                             ids=[f"{c.__name__}-{s}" for c, s, _ in SHAPE_VERDICTS])
+    def test_shape_verdict(self, cls, shape, message):
+        a = np.zeros(shape, dtype=np.float32)
+        if message is not None:
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                cls(a)
+            return
+        stored = getattr(cls(a), fields(cls)[0].name)
+        assert stored.dtype == np.float64 and stored.shape == shape
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+
+    @pytest.mark.parametrize("cls", SMALLEST, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, cls, bad):
+        name = fields(cls)[0].name
+        with pytest.raises(InvalidInputError, match=f"^{name} must contain only finite values$"):
+            cls(np.full(SMALLEST[cls], bad))
+
+    def test_stored_copy_is_detached_from_the_input(self):
+        source = np.ones((2, 2))
+        data = Dataset(source)
+        source[0, 0] = 7.0
+        assert data.items[0, 0] == 1.0
 
 
 class TestDomainTypes:

@@ -57,6 +57,8 @@ class TestExactTopk:
         data = Dataset(np.eye(3))
         with pytest.raises(InvalidInputError):
             exact_topk(data, QuerySet(np.eye(3)), t=4)
+        with pytest.raises(InvalidInputError, match="disagree on dimensionality"):
+            exact_topk(data, QuerySet(np.eye(2)), t=1)
 
 
 class TestMetrics:
@@ -228,6 +230,8 @@ class TestBootstrapEval:
     def test_iterations_validated(self):
         with pytest.raises(InvalidInputError):
             bootstrap_eval(self.make_config(), iterations=0)
+        with pytest.raises(InvalidInputError, match="truth depth 121 exceeds n=120"):
+            bootstrap_eval(self.make_config(truth_depth=121), iterations=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
     def test_seed_outside_u64_rejected(self, seed):

@@ -341,6 +341,8 @@ class TestSelectTopK:
     def test_k_beyond_n_rejected(self):
         with pytest.raises(InvalidInputError):
             select_top_k(np.ones(3), 4)
+        none = select_top_k(np.ones(3), 0)
+        assert none.shape == (0,) and none.dtype == np.int64
 
 
 class TestTopK:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fneq.tuner
 from fneq.clustering import ClusteringParams
 from fneq.core import Dataset, QuerySet
 from fneq.errors import InvalidInputError
@@ -132,6 +133,21 @@ class TestRecallObjective:
         data = Dataset(make_mips_data(60, 8, seed=3))
         with pytest.raises(InvalidInputError):
             make_recall_objective(data, QuerySet(np.empty((0, 8))), 3, 1, 4, self.params)
+
+    @pytest.mark.parametrize("dim,k_star,match", [
+        (8, 195, "k_star=195 exceeds the 190 non-zero items"),
+        (7, 4, "m_dir=2 does not divide D=7"),
+    ], ids=["k-star-above-non-zero-items", "m-dir-not-dividing-D"])
+    def test_setting_no_genome_can_train_rejected_before_the_truth(
+            self, monkeypatch, dim, k_star, match):
+        items = make_mips_data(200, dim, seed=3)
+        items[::20] = 0.0  # 10 zero rows, which no direction codebook trains on
+        data = Dataset(items)
+        truths = []
+        monkeypatch.setattr(fneq.tuner, "exact_topk", lambda *a: truths.append(a))
+        with pytest.raises(InvalidInputError, match=match):
+            make_recall_objective(data, QuerySet(items[:5]), 3, 1, k_star, self.params)
+        assert truths == []
 
     @pytest.mark.parametrize("n_queries", [1, 13, 37])
     def test_cost_equals_negated_mean_of_per_query_recall_loop(self, n_queries):
