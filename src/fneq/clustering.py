@@ -25,6 +25,8 @@ Lloyd k-means is one loop whose rounds label the points by exact distances
 or, for training fits, by the encoder's GEMM kernel (``_train_lloyd``). Its
 cell sums, a one-hot CSC product, add each cell's members one by one from
 +0.0 at every width (``mean`` sums a width-1 cell pairwise instead).
+From ``_SPLIT_ROWS`` points, an IT2FPCM fit outside any pool runs each
+iteration on two threads with the same output bytes (see ``it2fpcm``).
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ import numpy as np
 from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
-from .core import Codebook, NormCodebook, _frozen
+from .core import Codebook, NormCodebook, _frozen, _paired
 from .errors import InvalidInputError
+
+_SPLIT_ROWS = 4096  #: Rows from which ``it2fpcm`` takes two threads; below it the split lost, OpenBLAS unpinned.
 
 
 def _check_seed(seed: int) -> None:
@@ -386,7 +390,10 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
     they had when each partition built its own ``(n, c)`` distances: the
     output is bit-identical. The weighted-centroid product and column
     sums and the objective's weighted sums (multiplied in place) keep
-    their layouts.
+    their layouts. From ``_SPLIT_ROWS`` points at ``thread_cap() > 1`` an
+    iteration runs on two threads: each half of the rows' partitions (an
+    entry depends on one point), then each bound on all the points, added
+    lower then upper, so the bytes are those of one thread.
     """
     c = params.c
     points = _check_points(points, c)
@@ -401,31 +408,43 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
     converged = False
     n_iter = 0
     best = None
-    for n_iter in range(1, params.max_iters + 1):
-        shared = _shared_ratios(squared_distances((v_lo + v_up) / 2.0, points))
+
+    def partitions(mid, rows):
+        shared = _shared_ratios(squared_distances(mid, rows))
         mu = _interval_partition(shared, params.xi_lower, params.xi_upper)
         # At equal exponents the possibilities are the memberships, bit for bit.
-        tau = mu if same_exponents else _interval_partition(shared, *eta)
+        return mu if same_exponents else mu + _interval_partition(shared, *eta)
 
-        # Per bound: weights (mu + tau)^xi1, centroids and the weighted
-        # distortion, normalized by the weight mass so the epsilon test
-        # stays meaningful at high fuzziness, where raw weights are tiny.
-        v, num, mass = [], 0.0, 0.0
-        for m, t in zip(mu, tau):
-            w = np.power(m + t, params.xi_lower)
-            v.append((w.T @ points) / w.sum(axis=0)[:, None])
-            d2 = squared_distances(points, v[-1])
-            d2 *= w
-            num, mass = num + d2.sum(), mass + w.sum()
-        v_lo, v_up = v
-        new_objective = float(num / mass)
-        improvement = abs(objective - new_objective)
-        objective = new_objective
-        if best is None or objective < best[0]:
-            best = (objective, v_lo, v_up, mu, tau)
-        if improvement < params.epsilon:
-            converged = True
-            break
+    def bound(m, t):
+        # Weights (mu + tau)^xi1, centroids and the weighted distortion; the
+        # objective divides it by the weight mass so the epsilon test stays
+        # meaningful at high fuzziness, where raw weights are tiny.
+        w = np.power(m + t, params.xi_lower)
+        v = (w.T @ points) / w.sum(axis=0)[:, None]
+        d2 = squared_distances(points, v)
+        d2 *= w
+        return v, d2.sum(), w.sum()
+
+    half = len(points) // 2
+    with _paired(len(points) >= _SPLIT_ROWS) as pair:
+        run = pair or (lambda f, g: (f(), g()))
+        for n_iter in range(1, params.max_iters + 1):
+            mid = (v_lo + v_up) / 2.0
+            if pair:
+                halves = pair(lambda: partitions(mid, points[:half]), lambda: partitions(mid, points[half:]))
+                parts = [np.concatenate(p) for p in zip(*halves)]
+            else:
+                parts = partitions(mid, points)
+            mu, tau = parts[:2], parts[-2:]  # one pair twice where tau is mu
+            (v_lo, num, mass), (v_up, n_up, m_up) = run(lambda: bound(mu[0], tau[0]), lambda: bound(mu[1], tau[1]))
+            new_objective = float((num + n_up) / (mass + m_up))
+            improvement = abs(objective - new_objective)
+            objective = new_objective
+            if best is None or objective < best[0]:
+                best = (objective, v_lo, v_up, mu, tau)
+            if improvement < params.epsilon:
+                converged = True
+                break
 
     if not converged:
         # Iteration budget exhausted: hand back the best state seen.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import InvalidInputError, ZeroNormError
 #: Widest supported codeword index (codes are stored as u8 or u16).
 MAX_CODEWORDS = 65535
 
-#: ``nested`` is set on the threads of every ``_thread_map`` pool.
+#: ``nested`` is set on the threads of every pool (``_thread_map``, ``_paired``).
 _pool = threading.local()
 
 
@@ -65,6 +66,21 @@ def _thread_map(fn, *iterables) -> list:
     cancels the calls not yet started)."""
     with ThreadPoolExecutor(thread_cap(), initializer=setattr, initargs=(_pool, "nested", True)) as ex:
         return list(ex.map(fn, *iterables))
+
+
+@contextmanager
+def _paired(wanted: bool):
+    """Yield ``pair(f, g) -> (f(), g())``, which runs ``g`` on one pool thread beside ``f``
+    on the caller's, or ``None`` unless ``wanted`` and ``thread_cap() > 1``."""
+    if not wanted or thread_cap() < 2:
+        yield None
+        return
+    with ThreadPoolExecutor(1, initializer=setattr, initargs=(_pool, "nested", True)) as ex:
+        def pair(f, g):
+            second = ex.submit(g)
+            return f(), second.result()
+
+        yield pair
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import fneq
 import fneq.cli
+import fneq.clustering
 
 from fneq.cli import _build_parser, main
 from fneq.clustering import ClusteringParams
@@ -364,6 +366,40 @@ class TestTune:
             assert best.startswith("best xi1=")
             outputs.append((best, grid.read_bytes()))
         assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].splitlines()) == 17
+
+    def test_grid_file_and_best_line_identical_at_one_and_two_threads_above_the_threshold(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """With the row threshold below the 45 training rows, ``ga_optimize``'s
+        fits run on two threads at ``FNEQ_THREADS=2``; the grid file and the
+        ``best`` line equal those at one thread and at the default threshold."""
+        save_csv(tmp_path / "points.csv", np.random.default_rng(7).normal(size=(60, 4)))
+        paired, split = fneq.clustering._paired, []
+
+        @contextmanager
+        def spying(wanted):
+            with paired(wanted) as pair:
+                split.append(pair is not None)
+                yield pair
+
+        monkeypatch.setattr(fneq.clustering, "_paired", spying)
+        outputs = []
+        for cap, threshold in ((1, 20), (2, 20), (2, fneq.clustering._SPLIT_ROWS)):
+            monkeypatch.setenv("FNEQ_THREADS", str(cap))
+            monkeypatch.setattr(fneq.clustering, "_SPLIT_ROWS", threshold)
+            split.clear()
+            grid = tmp_path / f"grid{cap}-{threshold}.csv"
+            assert run(["tune", "--data", tmp_path / "points.csv", "--k-star", 3,
+                        "--population", 4, "--generations", 2, "--grid-steps", 4,
+                        "--out-grid", grid]) == 0
+            best = capsys.readouterr().out.splitlines()[0]
+            assert best.startswith("best xi1=")
+            outputs.append((best, grid.read_bytes()))
+            # Every fit but the grid's 10 pairs, which run on pool threads, splits.
+            assert len(split) > 10
+            assert split.count(True) == (len(split) - 10 if (cap, threshold) == (2, 20) else 0)
+        assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0][1].splitlines()) == 17
 
     def test_grid_to_stdout_on_a_pipe(self, tmp_path):

@@ -5,6 +5,7 @@ per-item estimate."""
 
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +451,16 @@ def test_it2fpcm_equals_reference_bit_for_bit(
     seed, n, d, values, xi_lower, xi_width, eta, max_iters, epsilon, data
 ):
     points = lloyd_points(seed, n, d, data.draw(st.integers(1, n)), values, "contiguous")
+    params = fuzzy_params(data, n, seed, xi_lower, xi_width, eta, max_iters, epsilon)
+    assert _fuzzy_outcome(points, params, it2fpcm) == _fuzzy_outcome(
+        points, params, it2fpcm_reference
+    )
+
+
+def fuzzy_params(data, n, seed, xi_lower, xi_width, eta, max_iters, epsilon) -> ClusteringParams:
+    """Parameters with up to ``min(n, 6)`` clusters and the possibility
+    interval ``eta``: the default, equal to xi, sharing one end with it, or
+    apart from it (and collapsed to a point)."""
     xi_upper = xi_lower + xi_width
     # "lower" and "upper" share one end of the interval with xi.
     etas = {
@@ -467,13 +478,50 @@ def test_it2fpcm_equals_reference_bit_for_bit(
             st.floats(0.01, 3.0)
         )
         etas[eta] = {"eta_lower": eta_lower, "eta_upper": eta_upper}
-    params = ClusteringParams(
+    return ClusteringParams(
         c=data.draw(st.integers(1, min(n, 6))), xi_lower=xi_lower, xi_upper=xi_upper,
         epsilon=epsilon, max_iters=max_iters, seed=seed, **etas[eta],
     )
-    assert _fuzzy_outcome(points, params, it2fpcm) == _fuzzy_outcome(
-        points, params, it2fpcm_reference
-    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.sampled_from([1, 2]), st.integers(1, 61)),
+    d=st.integers(1, 5),
+    values=st.sampled_from(["normal", "integers", "zeros"]),
+    xi_lower=st.floats(1.05, 12.0),
+    xi_width=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    eta=st.sampled_from(["default", "equal", "apart", "apart, collapsed", "lower", "upper"]),
+    max_iters=st.integers(1, 20),
+    epsilon=st.sampled_from([1e-12, 1e-5, 1e-2]),
+    data=st.data(),
+)
+def test_it2fpcm_split_across_two_threads_equals_reference_bit_for_bit(
+    seed, n, d, values, xi_lower, xi_width, eta, max_iters, epsilon, data
+):
+    """With the row threshold at one row, every fit at ``FNEQ_THREADS=2``
+    runs its iterations on two threads, each half of the rows on its own;
+    ``n`` is often 1, where the first half is empty, or 2. All six arrays, the objective,
+    ``n_iter`` and ``converged`` equal the reference's and the one-thread
+    fit's."""
+    points = lloyd_points(seed, n, d, data.draw(st.integers(1, n)), values, "contiguous")
+    params = fuzzy_params(data, n, seed, xi_lower, xi_width, eta, max_iters, epsilon)
+    want = _fuzzy_outcome(points, params, it2fpcm_reference)
+    original = fneq.clustering._shared_ratios
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fneq.clustering, "_SPLIT_ROWS", 1)
+        for cap in (1, 2):
+            threads = set()
+
+            def recording(d2):
+                threads.add(threading.get_ident())
+                return original(d2)
+
+            mp.setattr(fneq.clustering, "_shared_ratios", recording)
+            mp.setenv("FNEQ_THREADS", str(cap))
+            assert _fuzzy_outcome(points, params, it2fpcm) == want
+            assert len(threads) == (cap if want[0] != "raised" else 0)
 
 
 def training_items(seed: int, k_star: int, zero_share: float, values: str) -> Dataset:

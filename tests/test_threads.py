@@ -1,7 +1,8 @@
 """``FNEQ_THREADS`` and the work it caps, the per-sub-space codebook fits,
-``reencode``'s row blocks and the tuner's grid: the cap itself,
-byte-identical indexes and grids at every cap and block split, worker
-errors, the pool the fits run on and the one module that owns pools."""
+``reencode``'s row blocks, the tuner's grid and a large top-level
+IT2FPCM fit's second thread: the cap itself, byte-identical indexes and
+grids at every cap and block split, worker errors, the pool the fits run
+on, when a fit opens its own, and the one module that owns pools."""
 
 import os
 import re
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 import fneq.clustering
 import fneq.neq
 import fneq.quantizers
-from fneq.clustering import ClusteringParams
+from fneq.clustering import ClusteringParams, it2fpcm
 from fneq.core import Dataset, QuerySet, pad_to_multiple, thread_cap
 from fneq.errors import InvalidInputError
 from fneq.neq import _BLOCK, _encode, reencode, train_index
@@ -168,6 +170,93 @@ def test_pools_never_nest_in_a_fit_or_a_re_encode_block(monkeypatch, cap):
     reencode(index, Dataset(items))
     assert caps == {"fit": [1] * 4, "block": [1] * 3}
     assert thread_cap() == cap
+
+
+def spy_fits(monkeypatch) -> tuple[list, list]:
+    """Record what ``_paired`` yields to each ``it2fpcm`` call (``None``: no
+    pool opened) and the thread of each ``_shared_ratios`` call."""
+    yielded, threads, lock = [], [], threading.Lock()
+    paired, shared_ratios = fneq.clustering._paired, fneq.clustering._shared_ratios
+
+    @contextmanager
+    def spying_paired(wanted):
+        with paired(wanted) as pair:
+            yielded.append(pair)
+            yield pair
+
+    def spying_ratios(d2):
+        with lock:
+            threads.append(threading.get_ident())
+        return shared_ratios(d2)
+
+    monkeypatch.setattr(fneq.clustering, "_paired", spying_paired)
+    monkeypatch.setattr(fneq.clustering, "_shared_ratios", spying_ratios)
+    return yielded, threads
+
+
+def fit_points(n: int) -> np.ndarray:
+    return make_gaussian_mixture(n, 3, centers=4, seed=3)[0]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_top_level_fit_above_the_threshold_uses_at_most_two_threads(monkeypatch, cap):
+    """From ``_SPLIT_ROWS`` points a top-level fit pairs the calling thread
+    with one pool thread where ``FNEQ_THREADS`` allows two, and stays on
+    the calling thread at 1."""
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    yielded, threads = spy_fits(monkeypatch)
+    it2fpcm(fit_points(fneq.clustering._SPLIT_ROWS), ClusteringParams(c=4, seed=1, max_iters=3))
+    assert len(yielded) == 1 and (yielded[0] is None) == (cap == 1)
+    assert threading.get_ident() in threads
+    assert len(set(threads)) == min(2, cap)
+
+
+def fuzzy_fit_in_thread_map():
+    """A ``fuzzy2_neq`` index over ``_SPLIT_ROWS`` items, whose fits run on
+    the pool threads of ``_thread_map``."""
+    items = pad_to_multiple(make_mips_data(fneq.clustering._SPLIT_ROWS, 8, seed=5), 4)
+    train_index(Dataset(items), "fuzzy2_neq", 5, 1, 4, ClusteringParams(seed=3, max_iters=3))
+
+
+def grid_pair():
+    """Three grid pairs of the MSE objective, which fits on ``_SPLIT_ROWS``
+    training points on the grid's threads."""
+    points = fit_points(fneq.clustering._SPLIT_ROWS * 4 // 3 + 2)
+    objective = make_quantization_mse_objective(points, 4, ClusteringParams(seed=2, max_iters=3))
+    xi_grid(objective, (2.0, 3.0), steps=2)
+
+
+@pytest.mark.parametrize("case,cap,rows", [
+    ("fit-in-thread-map", 2, None),
+    ("grid-pair", 2, None),
+    ("one-thread", 1, fneq.clustering._SPLIT_ROWS),
+    ("below-threshold", 2, fneq.clustering._SPLIT_ROWS - 1),
+])
+def test_fit_opens_no_pool_inside_a_pool_at_one_thread_or_below_the_threshold(
+    monkeypatch, case, cap, rows
+):
+    """Inside ``_thread_map``'s fit and grid pools, at ``FNEQ_THREADS=1`` and
+    below ``_SPLIT_ROWS`` points, every fit runs on the thread that called it."""
+    monkeypatch.setenv("FNEQ_THREADS", str(cap))
+    callers, lock = [], threading.Lock()
+    fit = fneq.clustering.it2fpcm
+
+    def calling(points, params):
+        with lock:
+            callers.append(threading.get_ident())
+        return fit(points, params)
+
+    monkeypatch.setattr(fneq.neq, "it2fpcm", calling)
+    yielded, threads = spy_fits(monkeypatch)
+    if case == "fit-in-thread-map":
+        fuzzy_fit_in_thread_map()
+    elif case == "grid-pair":
+        grid_pair()
+    else:
+        calling(fit_points(rows), ClusteringParams(c=4, seed=1, max_iters=3))
+    assert yielded == [None] * len(callers) and callers
+    assert set(threads) == set(callers)
+    assert (threading.get_ident() in callers) == (rows is not None)
 
 
 def test_only_core_names_the_thread_pool():
