@@ -8,9 +8,11 @@ prints ``fneq <command>: <message>`` to stderr, with ``data error: `` or
 ``training error: `` before the message for codes 2 and 3.
 
 Every thread pool (sub-space codebook fits, re-encode row blocks, the
-tuner's grid) is capped by ``FNEQ_THREADS`` (0 or unset: the CPUs
-available), and pools never nest; output is bit-identical at every cap,
-and a value that is not a non-negative integer exits 1. RQ stages and
+tuner's grid, the second thread of an IT2FPCM fit of 4096 points or more
+outside a pool) is capped by ``FNEQ_THREADS`` (0 or unset: the CPUs
+available), and pools never nest; a value that is not a non-negative
+integer exits 1. Output is bit-identical at every cap for one OpenBLAS
+thread count, which can itself change IT2FPCM's output. RQ stages and
 queries stay single-threaded. Pinning ``OPENBLAS_NUM_THREADS=1`` avoids oversubscription.
 """
 

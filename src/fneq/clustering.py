@@ -21,8 +21,8 @@ Both trainers skip repeated work without changing a bit of output: an
 array changes orientation only where each entry depends on one point and
 one centroid alone or the reduction is a min, and every sum keeps its
 layout or its order (see ``kmeans``, ``kmeans_plusplus`` and ``it2fpcm``).
-Lloyd k-means is one loop whose rounds label the points by exact distances
-or, for training fits, by the encoder's GEMM kernel (``_train_lloyd``). Its
+Lloyd k-means (``kmeans``) is one loop whose rounds label the points by
+exact distances or, for training fits, by the encoder's GEMM kernel. Its
 cell sums, a one-hot CSC product, add each cell's members one by one from
 +0.0 at every width (``mean`` sums a width-1 cell pairwise instead).
 From ``_SPLIT_ROWS`` points, an IT2FPCM fit outside any pool runs each
@@ -225,8 +225,6 @@ def kmeans_plusplus(points: np.ndarray, c: int, rng: np.random.Generator) -> np.
     n = points.shape[0]
     centroids = np.empty((c, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    if c == 1:
-        return centroids
     closest = squared_distances(centroids[:1], points)[0]
     for i in range(1, c):
         total = closest.sum()
@@ -267,10 +265,10 @@ def kmeans(
     Empty clusters are re-seeded from the point farthest from its
     current centroid; inertia never increases across iterations.
 
-    Both settings of ``exact_inertia`` run one loop (``_train_lloyd``) and
-    differ only in its labeller: ``False`` (training fits) returns the same
-    centroids, assignments, ``n_iter`` and ``converged`` bit for bit, with
-    ``inertia`` and ``inertia_history`` the encoder's GEMM kernel's estimates.
+    Both settings of ``exact_inertia`` run one loop and differ only in its
+    labeller: ``False`` (training fits) returns the same centroids,
+    assignments, ``n_iter`` and ``converged`` bit for bit, with ``inertia``
+    and ``inertia_history`` the encoder's GEMM kernel's estimates.
 
     Each step is bit-identical to a plain loop that takes every cell's
     members summed in ascending order from +0.0 over their count (``mean``
@@ -281,39 +279,33 @@ def kmeans(
       ``1.0 * x`` (exact) to the point's cell from +0.0.
     * Empty cells are repaired after the means, in ascending order, from
       the previous assignment's distances, which the means never read.
+
+    A round's labeller gives the labels, an inertia ``E`` and a radius ``r``
+    about it that holds the exact inertia ``I``: one ``(c, n)`` ``cdist`` with
+    ``E = I`` and ``r = 0`` (``exact_inertia``), or ``_nearest``'s GEMM with
+    ``E`` the sum of ``best + ||x||²`` and ``r = sum(bound) + 2n eps (sum
+    |best + ||x||²| + sum(bound))``, as each row lies within its ``bound`` and
+    both ``n``-term sums are off by at most ``(n-1) u`` times their magnitudes'
+    sum. So ``I0 - I1 - tol I1`` lies within ``(1 + tol) (r0 + r1)`` of ``gap =
+    E0 - E1 - tol E1``, and the roundings of ``gap`` and of the test ``I0 - I1
+    <= tol I1`` add ``4u (1 + tol) (|E0| + |E1| + r0 + r1)``. A ``gap`` clear
+    of that sum decides the stop by its sign; otherwise exact ``cdist``
+    inertias decide. At ``r = 0`` that is the test itself: a float
+    difference's sign is exact, and a ``gap`` in the band recomputes the same
+    ``I0`` and ``I1``.
     """
     points = _check_points(points, c)
     if not tol >= 0.0:
         raise InvalidInputError("tol must be non-negative")
-    if exact_inertia:
-        return _train_lloyd(points, c, params, tol=tol, exact=True)
-    return _train_lloyd(points, c, params, tol=tol)
-
-
-def _train_lloyd(points: np.ndarray, c: int, params: ClusteringParams, *, tol: float, exact: bool = False) -> KMeansResult:
-    """``kmeans``' Lloyd loop on checked ``points``. A round's labeller gives
-    the labels, an inertia ``E`` and a radius ``r`` about it that holds the
-    exact inertia ``I``: one ``(c, n)`` ``cdist`` with ``E = I`` and ``r = 0``
-    (``exact``), or ``_nearest``'s GEMM with ``E`` the sum of ``best + ||x||²``
-    and ``r = sum(bound) + 2n eps (sum |best + ||x||²| + sum(bound))``, as each
-    row lies within its ``bound`` and both ``n``-term sums are off by at most
-    ``(n-1) u`` times their magnitudes' sum. So ``I0 - I1 - tol I1`` lies within
-    ``(1 + tol) (r0 + r1)`` of ``gap = E0 - E1 - tol E1``, and the roundings of
-    ``gap`` and of the test ``I0 - I1 <= tol I1`` add ``4u (1 + tol) (|E0| + |E1|
-    + r0 + r1)``. A ``gap`` clear of that sum decides the stop by its sign;
-    otherwise exact ``cdist`` inertias decide. At ``r = 0`` that is the test
-    itself: a float difference's sign is exact, and a ``gap`` in the band
-    recomputes the same ``I0`` and ``I1``.
-    """
     eps = np.finfo(np.float64).eps
     centroids = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
     onehot = (np.ones(len(points)), np.arange(len(points) + 1))
-    if not exact:
+    if not exact_inertia:
         vectors = np.asfortranarray(points)  # the GEMM runs faster on an F-ordered copy
         x_sq = np.einsum("ij,ij->i", points, points)
 
     def assign():
-        if exact:
+        if exact_inertia:
             d2 = squared_distances(centroids, points)
             return d2.argmin(axis=0), float(d2.min(axis=0).sum()), 0.0
         labels, best, bound = _nearest(vectors, centroids, x_sq)

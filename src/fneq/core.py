@@ -37,7 +37,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def thread_cap() -> int:
-    """Threads of every pool (fits, re-encode blocks, grid pairs), from ``FNEQ_THREADS``.
+    """Threads of every pool (fits, re-encode blocks, grid pairs, ``it2fpcm``'s pair), from ``FNEQ_THREADS``.
 
     ``0`` or unset means the CPUs this process may run on (its affinity
     mask where the platform reports one). Raises ``InvalidInputError``

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import differential_evolution
 
-from .aggregation import FuzzyMeasure
 from .clustering import ClusteringParams
 from .core import Dataset, QuerySet, SubVectorLayout, _thread_map, row_norms
 from .errors import InvalidInputError
@@ -156,28 +155,20 @@ def _at_interval(params: ClusteringParams, cost):
         replace(params, xi_lower=xi1, xi_upper=xi2, eta_lower=xi1, eta_upper=xi2))
 
 
-def make_quantization_mse_objective(
-    points: np.ndarray,
-    k_star: int,
-    params: ClusteringParams,
-    holdout_fraction: float = 0.25,
-    measure: FuzzyMeasure | None = None,
-):
+def make_quantization_mse_objective(points: np.ndarray, k_star: int, params: ClusteringParams):
     """Cost = mean squared quantization error of the fused codebook on a
-    held-out split of ``points``."""
+    held-out quarter of ``points``."""
     points = np.asarray(points, dtype=np.float64)
-    if not (0.0 < holdout_fraction < 1.0):
-        raise InvalidInputError("holdout_fraction must lie in (0, 1)")
     rng = np.random.default_rng(params.seed)
     order = rng.permutation(points.shape[0])
-    n_hold = max(1, int(points.shape[0] * holdout_fraction))
+    n_hold = max(1, points.shape[0] // 4)
     holdout = points[order[:n_hold]]
     train = points[order[n_hold:]]
     if train.shape[0] < k_star:
         raise InvalidInputError("not enough training points for the requested k_star")
 
     def cost(p: ClusteringParams) -> float:
-        codebook = _fuzzy_fit(k_star, p, measure)(train, p.seed)[0]
+        codebook = _fuzzy_fit(k_star, p, None)(train, p.seed)[0]
         err = holdout - codebook.codewords[nearest_codes(holdout, codebook)]
         return float(np.mean(np.einsum("ij,ij->i", err, err)))
 
@@ -192,7 +183,6 @@ def make_recall_objective(
     k_star: int,
     params: ClusteringParams,
     truth_depth: int = 20,
-    measure: FuzzyMeasure | None = None,
 ):
     """Cost = negated mean recall of a fuzzy index at the given setting.
 
@@ -209,7 +199,7 @@ def make_recall_objective(
     truth = exact_topk(dataset, queries, truth_depth)
 
     def cost(p: ClusteringParams) -> float:
-        index = train_index(dataset, "fuzzy2_neq", m, m_prime, k_star, p, measure=measure)
+        index = train_index(dataset, "fuzzy2_neq", m, m_prime, k_star, p)
         recalls = [recall(top_k(q, index, truth_depth)[0], truth.ids[i])
                    for i, q in enumerate(queries.queries)]
         return -float(np.mean(recalls))

@@ -453,7 +453,7 @@ class TestExitCodes:
     NO_DATA_RECALL_TUNE = NO_DATA_TUNE + ["--objective", "recall", "--queries", "{tmp}/missing.csv"]
     NO_INDEX_EVAL = ["eval", "--index", "{tmp}/missing.fneq", "--data", "{tmp}/items.csv",
                      "--queries", "{tmp}/queries.csv", "--out-prefix", "{tmp}/r"]
-    # A data fault inside the recall objective keeps its type through the search.
+    # The recall objective checks its setting before the search starts.
     RECALL_TUNE = TUNE + ["--objective", "recall", "--queries", "{tmp}/items.csv",
                           "--out-grid", "{tmp}/grid.csv"]
 
@@ -492,6 +492,14 @@ class TestExitCodes:
         "tune-recall-m-dir-not-dividing-D": (
             RECALL_TUNE + ["--k-star", 4, "--m", 6, "--m-prime", 1], 3,
             "fneq tune: training error: m_dir=5 does not divide D=12; pad the data first"),
+        # A data fault inside the recall objective keeps its type through the search.
+        "tune-recall-codewords-beyond-float32": (
+            ["tune", "--data", "{tmp}/huge.csv", "--objective", "recall",
+             "--queries", "{tmp}/queries.csv", "--k-star", 4, "--m", 3, "--m-prime", 1,
+             "--population", 2, "--generations", 1, "--grid-steps", 2,
+             "--out-grid", "{tmp}/grid.csv"], 3,
+            "fneq tune: training error: codebook values must lie within float32's range "
+            "(±3.4e38), at genome (xi1=7.29179, xi2=11.9273)\n"),
         "train-pq-codewords-beyond-float32": (
             ["train", "--data", "{tmp}/huge.csv", "--mode", "pq", "--m", 3, "--k-star", 4,
              "--out", "{tmp}/new.fneq"], 3,

@@ -85,6 +85,8 @@ class TestKMeans:
             kmeans(np.ones((3, 2)), 0, ClusteringParams())
         with pytest.raises(InvalidInputError):
             kmeans(np.array([[np.nan, 1.0]]), 1, ClusteringParams())
+        with pytest.raises(InvalidInputError, match="^points must be a non-empty 2-D matrix$"):
+            kmeans(np.ones(3), 1, ClusteringParams())
         for tol in (-1e-4, np.nan):
             with pytest.raises(InvalidInputError, match="tol"):
                 kmeans(np.ones((3, 2)), 2, ClusteringParams(), tol=tol)
@@ -145,6 +147,12 @@ class TestClusteringParams:
             ClusteringParams(xi_lower=1.0, xi_upper=2.0)
         with pytest.raises(InvalidInputError):
             ClusteringParams(epsilon=0.0)
+        with pytest.raises(InvalidInputError, match="^c must be at least 1$"):
+            ClusteringParams(c=0)
+        for eta1, eta2 in ((1.0, 2.0), (3.0, 2.5)):
+            with pytest.raises(InvalidInputError,
+                               match="^possibility interval must satisfy 1 < eta1 <= eta2$"):
+                ClusteringParams(eta_lower=eta1, eta_upper=eta2)
 
 
 class TestIt2fpcm:

@@ -182,6 +182,15 @@ class TestDomainTypes:
         CodeMatrix(np.array([[0, 1], [1, 2]]), k_stars=(2, 3))
         with pytest.raises(InvalidInputError):
             CodeMatrix(np.array([[0, 3]]), k_stars=(2, 3))
+        bad = [
+            (np.array([0, 1]), (2,), r"^codes must be 2-D, got shape \(2,\)$"),
+            (np.array([[0.0, 1.0]]), (2, 2), "^codes must be integers$"),
+            (np.array([[0, 1]]), (2,), "^expected 2 per-column bounds, got 1$"),
+            (np.array([[0, -1]]), (2, 2), "^codes must be non-negative$"),
+        ]
+        for codes, k_stars, message in bad:
+            with pytest.raises(InvalidInputError, match=message):
+                CodeMatrix(codes, k_stars=k_stars)
 
     def test_code_matrix_width(self):
         cm = CodeMatrix(np.array([[255]]), k_stars=(256,))
@@ -199,6 +208,12 @@ class TestPadToMultiple:
     def test_pads_to_next_multiple(self):
         x = np.ones((3, 64))
         assert pad_to_multiple(x, 7).shape == (3, 70)
+
+    def test_validation(self):
+        with pytest.raises(InvalidInputError, match="^expected a 2-D matrix$"):
+            pad_to_multiple(np.ones(4), 3)
+        with pytest.raises(InvalidInputError, match="^m_dir must be positive$"):
+            pad_to_multiple(np.ones((2, 4)), 0)
 
     def test_preserves_inner_products_and_norms(self):
         rng = np.random.default_rng(3)

@@ -49,6 +49,11 @@ class TestFvecs:
         with pytest.raises(InvalidInputError):
             load_fvecs(path)
 
+    def test_save_rejects_a_vector(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="^expected a 2-D matrix with at least one column$"):
+            save_fvecs(tmp_path / "v.fvecs", np.ones(3))
+        assert not (tmp_path / "v.fvecs").exists()
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
@@ -74,6 +79,10 @@ class TestCsv:
         plain = load_csv(tmp_path / "plain.csv")
         np.testing.assert_array_equal(load_csv(tmp_path / "bom.csv"), plain)
         assert plain.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        (tmp_path / "blank.csv").write_text("\n1,2\n  \n\n3,4\n\n")
+        assert load_csv(tmp_path / "blank.csv").tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "text.csv"

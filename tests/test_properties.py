@@ -171,7 +171,7 @@ def test_training_kmeans_equals_kmeans_bit_for_bit(monkeypatch):
     ``kmeans``' centroids, assignments, ``n_iter`` and ``converged`` bit
     for bit on tie-heavy points up to width 64. Spies count the calls
     that reach its empty-cell repair and its exact stop-test fallback
-    (``squared_distances`` called from ``_train_lloyd``'s own body)."""
+    (``squared_distances`` called from ``kmeans``' own body)."""
     reached = {"repair": 0, "fallback": 0}
     update, distances = fneq.clustering._lloyd_update, fneq.clustering.squared_distances
 
@@ -183,7 +183,7 @@ def test_training_kmeans_equals_kmeans_bit_for_bit(monkeypatch):
         return update(points, columns, labels, centroids, counted_closest)
 
     def counted_distances(*args):
-        reached["fallback"] += sys._getframe(1).f_code.co_name == "_train_lloyd"
+        reached["fallback"] += sys._getframe(1).f_code.co_name == "kmeans"
         return distances(*args)
 
     @settings(max_examples=500, deadline=None)

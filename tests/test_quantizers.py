@@ -67,6 +67,11 @@ class TestTrainPq:
         with pytest.raises(InvalidInputError):
             train_pq(Dataset(rng.normal(size=(20, 10))), 3, 4, ClusteringParams())
 
+    def test_k_star_above_n_rejected(self):
+        data = Dataset(np.random.default_rng(3).normal(size=(5, 4)))
+        with pytest.raises(InvalidInputError, match="^k_star=6 exceeds n=5$"):
+            train_pq(data, 2, 6, ClusteringParams())
+
 
 class TestEncodeDecode:
     def setup_method(self):
@@ -120,6 +125,10 @@ class TestEncodeDecode:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             encode(np.zeros(6), self.codebooks, self.layout)
+        with pytest.raises(InvalidInputError, match="^expected rows of length 4$"):
+            encode_batch(np.zeros((3, 6)), self.codebooks, self.layout)
+        with pytest.raises(InvalidInputError, match="^expected 2 codes per item$"):
+            decode(np.array([[0, 1, 2]]), self.codebooks, self.layout)
 
     def test_fewer_codebooks_than_sub_spaces_rejected(self):
         one = self.codebooks[:1]
@@ -177,24 +186,24 @@ class TestTrainRq:
 def test_every_training_fit_stops_at_the_training_tolerance(monkeypatch):
     """``train_pq``, ``train_rq`` and ``train_index`` (pq, rq, neq_kmeans)
     pass ``TRAINING_TOL`` to every k-means fit (the training Lloyd,
-    ``clustering._train_lloyd``, which ``kmeans`` runs for them);
+    ``kmeans(..., exact_inertia=False)`` as ``quantizers`` binds it);
     ``kmeans`` itself defaults to no tolerance, so a direct call stops
     at label stability."""
     calls = []
-    original = fneq.clustering._train_lloyd
+    original = fneq.quantizers.kmeans
 
     def spy(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fneq.clustering, "_train_lloyd", spy)
+    monkeypatch.setattr(fneq.quantizers, "kmeans", spy)
     data = Dataset(np.random.default_rng(10).normal(size=(200, 12)))
     params = ClusteringParams(seed=6, max_iters=20)
     train_pq(data, 3, 8, params)
     train_rq(data, 2, 8, params)
     for mode, m, m_prime in (("pq", 3, 0), ("rq", 2, 0), ("neq_kmeans", 4, 1)):
         train_index(data, mode, m, m_prime, 8, params)
-    assert calls == [{"tol": TRAINING_TOL}] * (3 + 2 + 3 + 2 + 3)
+    assert calls == [{"tol": TRAINING_TOL, "exact_inertia": False}] * (3 + 2 + 3 + 2 + 3)
     assert inspect.signature(kmeans).parameters["tol"].default == 0.0
 
 

@@ -113,11 +113,11 @@ def failing_on(trainer, seeds):
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 # Case ids name the ``train_index`` module, the fit and the mode; the
-# k-means fit (the training Lloyd) is patched where ``kmeans`` looks it
-# up, in ``fneq.clustering``.
+# k-means fit is patched where ``quantizers._kmeans_fit`` looks it up, in
+# ``fneq.quantizers``.
 @pytest.mark.parametrize("module,name,mode", [
-    pytest.param(fneq.clustering, "_train_lloyd", "pq", id="fneq.neq-kmeans-pq"),
-    pytest.param(fneq.clustering, "_train_lloyd", "neq_kmeans", id="fneq.neq-kmeans-neq_kmeans"),
+    pytest.param(fneq.quantizers, "kmeans", "pq", id="fneq.neq-kmeans-pq"),
+    pytest.param(fneq.quantizers, "kmeans", "neq_kmeans", id="fneq.neq-kmeans-neq_kmeans"),
     pytest.param(fneq.neq, "it2fpcm", "fuzzy2_neq", id="fneq.neq-it2fpcm-fuzzy2_neq"),
 ])
 def test_first_failing_sub_space_raises_its_own_error(monkeypatch, cap, module, name, mode):
@@ -133,13 +133,13 @@ def test_first_failing_sub_space_raises_its_own_error(monkeypatch, cap, module, 
 def test_fits_run_on_at_most_cap_pool_threads(monkeypatch, cap):
     monkeypatch.setenv("FNEQ_THREADS", str(cap))
     seen = set()
-    original = fneq.clustering._train_lloyd
+    original = fneq.quantizers.kmeans
 
     def recording(*args, **kwargs):
         seen.add(threading.get_ident())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fneq.clustering, "_train_lloyd", recording)
+    monkeypatch.setattr(fneq.quantizers, "kmeans", recording)
     fneq.quantizers.train_pq(corpus(8, False), 8, 8, ClusteringParams(seed=1, max_iters=5))
     assert threading.get_ident() not in seen
     assert 1 <= len(seen) <= cap
@@ -161,8 +161,8 @@ def test_pools_never_nest_in_a_fit_or_a_re_encode_block(monkeypatch, cap):
 
         return call
 
-    fit = spying(fneq.clustering._train_lloyd, "fit")
-    monkeypatch.setattr(fneq.clustering, "_train_lloyd", fit)
+    fit = spying(fneq.quantizers.kmeans, "fit")
+    monkeypatch.setattr(fneq.quantizers, "kmeans", fit)
     items = block_corpus()
     index = train_index(Dataset(items[:300]), "neq_kmeans", 5, 1, 8,
                         ClusteringParams(seed=2, max_iters=20))

@@ -89,6 +89,10 @@ class TestGrid:
         for (a, b), cost in by_pair.items():
             assert by_pair[(b, a)] == cost
 
+    def test_steps_validated(self):
+        with pytest.raises(InvalidInputError, match="^steps must be at least 2$"):
+            xi_grid(convex_toy, (2.0, 12.0), steps=1)
+
     def test_grid_csv_parses(self, tmp_path):
         grid = xi_grid(convex_toy, (2.0, 12.0), steps=4)
         path = tmp_path / "grid.csv"
@@ -119,11 +123,6 @@ class TestMseObjective:
         )
         variance = float(np.mean(np.sum((points - points.mean(axis=0)) ** 2, axis=1)))
         assert objective(2.0, 2.2) < variance * 0.5
-
-    def test_holdout_fraction_validated(self):
-        points, _ = make_gaussian_mixture(50, 2, centers=2, seed=2)
-        with pytest.raises(InvalidInputError):
-            make_quantization_mse_objective(points, 2, ClusteringParams(), holdout_fraction=1.5)
 
 
 class TestRecallObjective:
