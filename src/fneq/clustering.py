@@ -135,7 +135,7 @@ class FuzzyClusterResult:
             up = np.asarray(up, dtype=np.float64)
             if lo.shape != up.shape:
                 raise InvalidInputError(f"{name} bounds disagree on shape")
-            if np.any(lo < 0) or np.any(up > 1) or np.any(lo > up):
+            if not np.all((0 <= lo) & (lo <= up) & (up <= 1)):  # NaN fails too
                 raise InvalidInputError(f"{name} bounds must satisfy 0 <= lower <= upper <= 1")
             object.__setattr__(self, f"{name}_lower", _frozen(lo))
             object.__setattr__(self, f"{name}_upper", _frozen(up))
@@ -301,14 +301,13 @@ def kmeans(
     centroids = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
     onehot = (np.ones(len(points)), np.arange(len(points) + 1))
     if not exact_inertia:
-        vectors = np.asfortranarray(points)  # the GEMM runs faster on an F-ordered copy
         x_sq = np.einsum("ij,ij->i", points, points)
 
     def assign():
         if exact_inertia:
             d2 = squared_distances(centroids, points)
             return d2.argmin(axis=0), float(d2.min(axis=0).sum()), 0.0
-        labels, best, bound = _nearest(vectors, centroids, x_sq)
+        labels, best, bound = _nearest(points, centroids, x_sq)
         best += x_sq
         return labels, float(best.sum()), bound.sum() + 2 * len(best) * eps * (np.abs(best).sum() + bound.sum())
 

@@ -39,10 +39,9 @@ def load_fvecs(path: str | os.PathLike) -> np.ndarray:
     if not np.all(dims == dim):
         raise InvalidInputError(f"{path}: vectors disagree on dimensionality")
     vecs = table[:, 4:].copy().view(_FVECS_VAL).reshape(n, dim)
-    out = vecs.astype(np.float64)
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(vecs)):  # before the cast, which warns on a signalling NaN
         raise InvalidInputError(f"{path}: non-finite values")
-    return out
+    return vecs.astype(np.float64)
 
 
 def save_fvecs(path: str | os.PathLike, matrix: np.ndarray) -> None:

@@ -7,7 +7,8 @@ Training (per item ``x``):
 1. compute the direction ``x' = x / ||x||``,
 2. train the direction codebooks on sub-vectors of ``x'`` — plain
    k-means, or interval fuzzy clustering fused into a crisp codebook,
-3. encode ``x'`` and decode the estimate ``x_bar``,
+3. encode ``x'``; the codebooks cover disjoint sub-spaces, so the estimate
+   ``x_bar`` has ``||x_bar||²`` = the chosen codewords' squared norms summed,
 4. compute the relative norm ``r = ||x|| / ||x_bar||``,
 5. quantize ``r`` with the norm codebooks (stage one on raw values,
    later stages on residuals).
@@ -199,6 +200,7 @@ def train_index(
     layout = SubVectorLayout(D=dataset.dim, m_dir=m_dir)
     if m_prime:
         norms, nonzero, points = _unit_directions(dataset.items)
+        points = points[nonzero]
     else:
         points = dataset.items
 
@@ -244,27 +246,28 @@ def train_neq(
 
 
 def _unit_directions(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row norms, the mask of non-zero rows and those rows at unit length."""
+    """Row norms, the mask of non-zero rows and every row at unit length (zero rows stay 0)."""
     norms = row_norms(items)
     nonzero = norms > 0
-    return norms, nonzero, items[nonzero] / norms[nonzero, None]
+    return norms, nonzero, np.divide(items, norms[:, None], out=np.zeros_like(items), where=nonzero[:, None])
 
 
 def _encode(items, layout, dir_codebooks, m_prime, stage_codebook):
     """Norm codebooks and codes of ``items``: ``encode_batch`` without
     norm codebooks. Otherwise the unit directions are coded, and the
-    relative norms ``||x|| / ||x_bar||`` are coded stage by stage on the
-    residual; ``stage_codebook(s, residual)`` gives stage ``s``'s codebook
-    (training fits it there, re-encoding looks it up). All-zero rows get
-    code 0 everywhere and relative norm 0."""
+    relative norms ``||x|| / ||x_bar||``, with ``||x_bar||`` from the
+    chosen codewords' squared norms (``_recon_sq_norms``), are coded stage
+    by stage on the residual; ``stage_codebook(s, residual)`` gives stage
+    ``s``'s codebook (training fits it there, re-encoding looks it up).
+    All-zero rows get code 0 everywhere and relative norm 0."""
     if m_prime == 0:
         return (), encode_batch(items, dir_codebooks, layout)
     norms, nonzero, directions = _unit_directions(items)
     codes = np.zeros((items.shape[0], m_prime + len(dir_codebooks)), dtype=np.int64)
-    codes[nonzero, m_prime:] = encode_batch(directions, dir_codebooks, layout)
-    recon = decode(codes[nonzero, m_prime:], dir_codebooks, layout)
-    residual = np.zeros(items.shape[0])
-    residual[nonzero] = norms[nonzero] / np.maximum(row_norms(recon), _MIN_RECON_NORM)
+    codes[:, m_prime:] = encode_batch(directions, dir_codebooks, layout)
+    codes[~nonzero] = 0
+    recon = np.sqrt(_recon_sq_norms(dir_codebooks, layout.m_dir, codes[:, m_prime:]))
+    residual = np.divide(norms, np.maximum(recon, _MIN_RECON_NORM), out=np.zeros_like(norms), where=nonzero)
     norm_codebooks = []
     for s in range(m_prime):
         cb = stage_codebook(s, residual)
@@ -385,15 +388,14 @@ def scan_scores(
     tables = query_tables(q, index).tables
     codes = index.codes.codes[: index.n if limit is None else limit]
     r_total = _gather_sum(tables, codes[:, index.m_prime :])
-    if index.m_prime == 0:
-        return r_total
-    return _norm_sums(codes, index) * r_total
+    if index.m_prime:
+        r_total *= _norm_sums(codes, index)
+    return r_total
 
 
 def _gather_sum(tables, codes: np.ndarray) -> np.ndarray:
     """Per item, the sum of ``tables[j][codes[:, j]]`` over the tables, in order."""
-    total = tables[0].take(codes[:, 0])
-    total += 0.0  # -0.0 becomes +0.0, as ``0.0 + x`` does
+    total = (tables[0] + 0.0).take(codes[:, 0])  # -0.0 becomes +0.0, as ``0.0 + x`` does
     for j in range(1, len(tables)):
         total += tables[j].take(codes[:, j])
     return total
@@ -404,19 +406,22 @@ def _norm_sums(codes: np.ndarray, index: IndexArtifact) -> np.ndarray:
     return _gather_sum([cb.values for cb in index.norm_codebooks], codes)
 
 
-def item_sq_norms(index: IndexArtifact) -> np.ndarray:
-    """Squared norms of the reconstructions (used by distance ranking): the
+def _recon_sq_norms(dir_codebooks, m_dir: int, dir_codes: np.ndarray) -> np.ndarray:
+    """Squared norms of the direction reconstructions of ``dir_codes``: the
     codeword norms plus twice the Gram entries of each pair of codebooks on
     one sub-space (only ``rq`` stacks such pairs), summed in one gather."""
-    codes = index.codes.codes
-    dir_codes = codes[:, index.m_prime :]
-    cbs = [cb.codewords for cb in index.dir_codebooks]
-    m_dir = index.layout.m_dir
+    cbs = [cb.codewords for cb in dir_codebooks]
     pairs = [(j, l) for l in range(len(cbs)) for j in range(l % m_dir, l, m_dir)]
     tables = [np.einsum("ij,ij->i", c, c) for c in cbs]
     tables += [2.0 * (cbs[j] @ cbs[l].T).ravel() for j, l in pairs]
     pair_codes = [dir_codes[:, j].astype(np.intp) * len(cbs[l]) + dir_codes[:, l] for j, l in pairs]
-    dir_sq = _gather_sum(tables, np.vstack([dir_codes.T, *pair_codes]).T)
+    return _gather_sum(tables, np.vstack([dir_codes.T, *pair_codes]).T)
+
+
+def item_sq_norms(index: IndexArtifact) -> np.ndarray:
+    """Squared norms of the reconstructions (used by distance ranking)."""
+    codes = index.codes.codes
+    dir_sq = _recon_sq_norms(index.dir_codebooks, index.layout.m_dir, codes[:, index.m_prime :])
     if index.m_prime == 0:
         return dir_sq
     l_total = _norm_sums(codes, index)

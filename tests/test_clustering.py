@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy
@@ -218,6 +220,15 @@ class TestIt2fpcm:
     def test_c_larger_than_n_rejected(self):
         with pytest.raises(InvalidInputError):
             it2fpcm(np.ones((3, 2)), ClusteringParams(c=5))
+
+    @pytest.mark.parametrize("field", ["membership_lower", "membership_upper", "possibility_upper"])
+    def test_nan_bound_is_rejected(self, field):
+        points, _ = make_gaussian_mixture(60, 2, centers=3, seed=3)
+        result = it2fpcm(points, ClusteringParams(c=3, seed=0))
+        bad = getattr(result, field).copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="0 <= lower <= upper <= 1"):
+            dataclasses.replace(result, **{field: bad})
 
 
 class TestTypeReduce:

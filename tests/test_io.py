@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,14 @@ class TestFvecs:
         path.write_bytes(b"")
         with pytest.raises(InvalidInputError):
             load_fvecs(path)
+
+    def test_signalling_nan_is_invalid_without_a_warning(self, tmp_path):
+        path = tmp_path / "snan.fvecs"
+        path.write_bytes((2).to_bytes(4, "little") + b"\x00\x00\x80\x3f" + b"\x01\x00\x80\x7f")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-finite values"):
+                load_fvecs(path)
 
     def test_save_rejects_a_vector(self, tmp_path):
         with pytest.raises(InvalidInputError, match="^expected a 2-D matrix with at least one column$"):
@@ -172,6 +181,7 @@ byte_edits = st.one_of(
 @example(fmt="csv", edit=("overwrite", 3, b"\xff"))
 @example(fmt="csv", edit=("insert", 0, b"\xc3"))
 @example(fmt="fvecs", edit=("overwrite", 4, b"\x00\x00\xc0\x7f"))
+@example(fmt="fvecs", edit=("overwrite", 4, b"\x01\x00\x80\x7f"))
 def test_edited_file_loads_finite_or_is_invalid(fmt, edit):
     """Any truncation, overwrite or insertion of bytes in a valid file
     loads to a finite 2-D float64 matrix or raises ``InvalidInputError``."""

@@ -26,13 +26,16 @@ from fneq.clustering import (
     kmeans_plusplus,
     squared_distances,
 )
-from fneq.core import Codebook, CodeMatrix, Dataset, NormCodebook, QuerySet, SubVectorLayout
+from fneq.core import (
+    Codebook, CodeMatrix, Dataset, NormCodebook, QuerySet, SubVectorLayout, row_norms,
+)
 from fneq.errors import InvalidInputError
 from fneq.evaluate import EvalConfig, bootstrap_eval, recall_item_curve
 from fneq.neq import (
     MODES,
     IndexArtifact,
     IndexMetadata,
+    _encode,
     _gather_sum,
     estimate_inner_product,
     item_sq_norms,
@@ -562,6 +565,46 @@ def test_training_codes_equal_reencoded_codes(
     again = reencode(index, dataset).codes.codes
     assert again.dtype == index.codes.codes.dtype
     np.testing.assert_array_equal(again, index.codes.codes)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    m_dir=st.integers(1, 4),
+    d_star=st.sampled_from([1, 3, 7, 8, 9, 16, 33]),
+    k_star=st.integers(1, 20),
+    zero_share=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+def test_encoded_relative_norms_equal_norms_over_decoded_norms(
+    seed, n, m_dir, d_star, k_star, zero_share
+):
+    """``_encode`` takes ``||x_bar||`` from the chosen codewords' squared
+    norms. Its direction codes are ``encode_batch``'s of the unit
+    directions, and its relative norms are ``||x|| / ||decode(codes)||``
+    up to the rounding of two sums of ``D`` squares taken in other orders.
+    All-zero rows get code 0 everywhere and relative norm 0."""
+    rng = np.random.default_rng(seed)
+    layout = SubVectorLayout(D=m_dir * d_star, m_dir=m_dir)
+    items = rng.normal(size=(n, layout.D)) * rng.lognormal(0.0, 2.0, size=(n, 1))
+    zero = rng.random(n) < zero_share
+    items[zero] = 0.0
+    cbs = tuple(Codebook(rng.normal(size=(k_star, d_star))) for _ in range(m_dir))
+    seen = []
+
+    def stage_codebook(s, residual):
+        seen.append(residual.copy())
+        return NormCodebook(np.array([0.0, 1.0]))
+
+    _, codes = _encode(items, layout, cbs, 1, stage_codebook)
+    np.testing.assert_array_equal(codes[zero], 0)
+    np.testing.assert_array_equal(seen[0][zero], 0.0)
+    norms = row_norms(items[~zero])
+    dir_codes = encode_batch(items[~zero] / norms[:, None], cbs, layout)
+    np.testing.assert_array_equal(codes[~zero, 1:], dir_codes)
+    want = norms / row_norms(decode(dir_codes, cbs, layout))
+    eps = np.finfo(np.float64).eps
+    np.testing.assert_allclose(seen[0][~zero], want, rtol=(layout.D + 3) * eps, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
