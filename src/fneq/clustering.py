@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
-from .core import Codebook, NormCodebook, _frozen, _paired
+from .core import Codebook, NormCodebook, _freeze_field, _frozen, _paired
 from .errors import InvalidInputError
 
 _SPLIT_ROWS = 4096  #: Rows from which ``it2fpcm`` takes two threads; below it the split lost, OpenBLAS unpinned.
@@ -111,7 +111,10 @@ class FuzzyClusterResult:
 
     Matrices are ``(c, n)``: rows are clusters, columns are points. The
     lower bound never exceeds the upper bound and all entries lie in
-    [0, 1]; both facts are checked at construction.
+    [0, 1]; both facts are checked at construction. The centroid bounds
+    are finite ``(c, D)`` matrices of one shape. Possibilities passed as
+    the membership arrays themselves (``it2fpcm`` at ``eta = xi``) are
+    checked and frozen once, and stay the same arrays.
     """
 
     centroids_lower: np.ndarray
@@ -126,23 +129,24 @@ class FuzzyClusterResult:
     converged: bool
 
     def __post_init__(self):
-        pairs = [
-            ("membership", self.membership_lower, self.membership_upper),
-            ("possibility", self.possibility_lower, self.possibility_upper),
-        ]
-        for name, lo, up in pairs:
-            lo = np.asarray(lo, dtype=np.float64)
-            up = np.asarray(up, dtype=np.float64)
+        shared = self.possibility_lower is self.membership_lower and self.possibility_upper is self.membership_upper
+        for name in ("membership",) if shared else ("membership", "possibility"):
+            lo = np.asarray(getattr(self, f"{name}_lower"), dtype=np.float64)
+            up = np.asarray(getattr(self, f"{name}_upper"), dtype=np.float64)
             if lo.shape != up.shape:
                 raise InvalidInputError(f"{name} bounds disagree on shape")
             if not np.all((0 <= lo) & (lo <= up) & (up <= 1)):  # NaN fails too
                 raise InvalidInputError(f"{name} bounds must satisfy 0 <= lower <= upper <= 1")
             object.__setattr__(self, f"{name}_lower", _frozen(lo))
             object.__setattr__(self, f"{name}_upper", _frozen(up))
+        if shared:
+            object.__setattr__(self, "possibility_lower", self.membership_lower)
+            object.__setattr__(self, "possibility_upper", self.membership_upper)
         for name in ("centroids_lower", "centroids_upper"):
-            object.__setattr__(
-                self, name, _frozen(np.asarray(getattr(self, name), dtype=np.float64))
-            )
+            _freeze_field(self, name, ndim=2, nonempty=1)
+        lo, up = self.centroids_lower.shape, self.centroids_upper.shape
+        if lo != up or lo[0] != self.c:
+            raise InvalidInputError(f"centroid bounds must both have {self.c} rows and one shape, got {lo} and {up}")
 
     @property
     def c(self) -> int:
@@ -366,13 +370,15 @@ def _interval_partition(shared: tuple, lower: float, upper: float) -> tuple[np.n
     return np.minimum(a, b), np.maximum(a, b, out=b)
 
 
-def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
+def it2fpcm(points: np.ndarray, params: ClusteringParams, *, init: np.ndarray | None = None) -> FuzzyClusterResult:
     """Interval type-2 fuzzy possibilistic c-means.
 
     Returns interval memberships, possibilities and per-bound centroids.
     If the objective has not improved by less than ``epsilon`` within
     ``max_iters`` iterations, the best-so-far state is returned with
-    ``converged=False``.
+    ``converged=False``. Both bounds start from ``init``, a finite
+    ``(c, D)`` matrix (copied), or by default from ``kmeans_plusplus`` at
+    ``params.seed``; passing that start gives the same output.
 
     Per iteration the midpoint distances are one ``(c, n)`` ``cdist``,
     whose zero mask, singular points and per-point minima are read along
@@ -384,16 +390,23 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
     their layouts. From ``_SPLIT_ROWS`` points at ``thread_cap() > 1`` an
     iteration runs on two threads: each half of the rows' partitions (an
     entry depends on one point), then each bound on all the points, added
-    lower then upper, so the bytes are those of one thread.
+    lower then upper, so the bytes are those of one thread. When both
+    intervals are degenerate (``xi1 = xi2``, ``eta1 = eta2``) the two
+    bounds' partitions are equal, so one bound pass serves both.
     """
     c = params.c
     points = _check_points(points, c)
-    rng = np.random.default_rng(params.seed)
-    v_lo = kmeans_plusplus(points, c, rng)
+    if init is None:
+        v_lo = kmeans_plusplus(points, c, np.random.default_rng(params.seed))
+    else:
+        v_lo = np.array(init, dtype=np.float64)
+        if v_lo.shape != (c, points.shape[1]) or not np.all(np.isfinite(v_lo)):
+            raise InvalidInputError(f"init must be a finite {(c, points.shape[1])} matrix, got shape {v_lo.shape}")
     v_up = v_lo.copy()
 
     eta = (params.eta_lower, params.eta_upper)
     same_exponents = eta == (params.xi_lower, params.xi_upper)
+    degenerate = params.xi_lower == params.xi_upper and eta[0] == eta[1]
     objective = np.inf
     improvement = np.inf
     converged = False
@@ -427,7 +440,8 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
             else:
                 parts = partitions(mid, points)
             mu, tau = parts[:2], parts[-2:]  # one pair twice where tau is mu
-            (v_lo, num, mass), (v_up, n_up, m_up) = run(lambda: bound(mu[0], tau[0]), lambda: bound(mu[1], tau[1]))
+            lower, upper = (lambda: bound(mu[0], tau[0])), (lambda: bound(mu[1], tau[1]))
+            (v_lo, num, mass), (v_up, n_up, m_up) = [lower()] * 2 if degenerate else run(lower, upper)
             new_objective = float((num + n_up) / (mass + m_up))
             improvement = abs(objective - new_objective)
             objective = new_objective
@@ -441,13 +455,15 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams) -> FuzzyClusterResult:
         # Iteration budget exhausted: hand back the best state seen.
         objective, v_lo, v_up, mu, tau = best
 
+    mu = (mu[0].T, mu[1].T)
+    tau = mu if same_exponents else (tau[0].T, tau[1].T)
     return FuzzyClusterResult(
         centroids_lower=v_lo,
         centroids_upper=v_up,
-        membership_lower=mu[0].T,
-        membership_upper=mu[1].T,
-        possibility_lower=tau[0].T,
-        possibility_upper=tau[1].T,
+        membership_lower=mu[0],
+        membership_upper=mu[1],
+        possibility_lower=tau[0],
+        possibility_upper=tau[1],
         objective=objective,
         final_improvement=float(improvement),
         n_iter=n_iter,

@@ -171,11 +171,12 @@ def _check_training(mode: str, m: int, m_prime: int, k_star: int) -> tuple[int, 
     return m_prime, _mode_m_dir(mode, m, m_prime)
 
 
-def _fuzzy_fit(k_star: int, params: ClusteringParams, measure: FuzzyMeasure | None):
+def _fuzzy_fit(k_star: int, params: ClusteringParams, measure: FuzzyMeasure | None, init: np.ndarray | None = None):
     """``fuzzy2_neq``'s counterpart of ``quantizers._kmeans_fit``: ``k_star`` interval
-    type-2 clusters at the fit's seed, fused into one crisp codebook, and no labels."""
+    type-2 clusters at the fit's seed (from ``it2fpcm``'s ``init`` if given), fused
+    into one crisp codebook, and no labels."""
     def fit(points: np.ndarray, seed: int) -> tuple[Codebook, None]:
-        return fuse_codebooks(it2fpcm(points, replace(params, seed=seed, c=k_star)), measure), None
+        return fuse_codebooks(it2fpcm(points, replace(params, seed=seed, c=k_star), init=init), measure), None
     return fit
 
 

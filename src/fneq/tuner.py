@@ -14,12 +14,13 @@ pair, through ``core._thread_map``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import differential_evolution
 
-from .clustering import ClusteringParams
+from .clustering import ClusteringParams, _check_points, kmeans_plusplus
 from .core import Dataset, QuerySet, SubVectorLayout, _thread_map, row_norms
 from .errors import InvalidInputError
 from .evaluate import exact_topk, recall
@@ -157,7 +158,8 @@ def _at_interval(params: ClusteringParams, cost):
 
 def make_quantization_mse_objective(points: np.ndarray, k_star: int, params: ClusteringParams):
     """Cost = mean squared quantization error of the fused codebook on a
-    held-out quarter of ``points``."""
+    held-out quarter of ``points``. Genomes change only the interval, so every fit
+    starts from the one k-means++ start at ``params.seed``, drawn by the first call."""
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     order = rng.permutation(points.shape[0])
@@ -167,8 +169,13 @@ def make_quantization_mse_objective(points: np.ndarray, k_star: int, params: Clu
     if train.shape[0] < k_star:
         raise InvalidInputError("not enough training points for the requested k_star")
 
+    start, lock = [], threading.Lock()
+
     def cost(p: ClusteringParams) -> float:
-        codebook = _fuzzy_fit(k_star, p, None)(train, p.seed)[0]
+        with lock:  # the grid's pool threads may make the first call
+            if not start:
+                start.append(kmeans_plusplus(_check_points(train, k_star), k_star, np.random.default_rng(params.seed)))
+        codebook = _fuzzy_fit(k_star, p, None, start[0])(train, p.seed)[0]
         err = holdout - codebook.codewords[nearest_codes(holdout, codebook)]
         return float(np.mean(np.einsum("ij,ij->i", err, err)))
 

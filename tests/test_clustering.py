@@ -1,14 +1,17 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy
 
+import fneq.clustering
 from fneq.clustering import (
     ClusteringParams,
     encode_scalar,
     it2fpcm,
     kmeans,
+    kmeans_plusplus,
     kmeans_scalar,
     squared_distances,
     type_reduce,
@@ -229,6 +232,59 @@ class TestIt2fpcm:
         bad[1, 2] = np.nan
         with pytest.raises(InvalidInputError, match="0 <= lower <= upper <= 1"):
             dataclasses.replace(result, **{field: bad})
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda lo, up: (lo[:2], up[:2]), r"have 3 rows and one shape, got \(2, 2\) and \(2, 2\)"),
+        (lambda lo, up: (lo, np.hstack([up, up[:, :1]])), r"got \(3, 2\) and \(3, 3\)"),
+        (lambda lo, up: (lo[:, 0], up[:, 0]), r"^centroids_lower must be a non-empty 2-D matrix, got shape \(3,\)$"),
+        (lambda lo, up: (lo, np.where(up == up.max(), np.nan, up)), "^centroids_upper must contain only finite"),
+    ], ids=["fewer-rows-than-clusters", "bounds-of-two-shapes", "1-D", "nan"])
+    def test_invalid_centroids_are_rejected(self, edit, match):
+        points, _ = make_gaussian_mixture(60, 2, centers=3, seed=3)
+        result = it2fpcm(points, ClusteringParams(c=3, seed=0))
+        lo, up = edit(result.centroids_lower, result.centroids_upper)
+        with pytest.raises(InvalidInputError, match=match):
+            dataclasses.replace(result, centroids_lower=lo, centroids_upper=up)
+
+    def test_possibilities_at_eta_equal_xi_are_the_frozen_memberships(self):
+        points, _ = make_gaussian_mixture(60, 2, centers=3, seed=3)
+        shared = it2fpcm(points, ClusteringParams(c=3, seed=0))
+        assert shared.possibility_lower is shared.membership_lower
+        assert shared.possibility_upper is shared.membership_upper
+        assert not shared.membership_lower.flags.writeable
+        apart = it2fpcm(points, ClusteringParams(c=3, seed=0, eta_lower=2.0, eta_upper=3.0))
+        assert not np.shares_memory(apart.possibility_lower, apart.membership_lower)
+        bad = shared.membership_lower.copy()
+        bad[1, 2] = np.nan  # one array as both lower bounds is still checked
+        with pytest.raises(InvalidInputError, match="^membership bounds must satisfy"):
+            dataclasses.replace(shared, membership_lower=bad, possibility_lower=bad)
+
+    @pytest.mark.parametrize("xi,eta,passes", [
+        ((3.0, 3.0), (3.0, 3.0), 1), ((3.0, 3.0), (2.5, 2.5), 1),
+        ((3.0, 3.0), (2.5, 4.0), 2), ((3.0, 4.0), (3.0, 4.0), 2),
+    ])
+    def test_degenerate_intervals_take_one_bound_pass(self, monkeypatch, xi, eta, passes):
+        """Each iteration computes the midpoint distances, then one distance
+        pass per bound: one pass only when both intervals are points."""
+        points, _ = make_gaussian_mixture(80, 2, centers=3, seed=4)
+        params = ClusteringParams(c=3, xi_lower=xi[0], xi_upper=xi[1], eta_lower=eta[0],
+                                  eta_upper=eta[1], seed=4, max_iters=7, epsilon=1e-12)
+        start = kmeans_plusplus(points, 3, np.random.default_rng(4))
+        calls = []
+        monkeypatch.setattr(fneq.clustering, "squared_distances",
+                            lambda a, b: calls.append(1) or squared_distances(a, b))
+        result = it2fpcm(points, params, init=start)
+        assert len(calls) == result.n_iter * (1 + passes)
+
+    @pytest.mark.parametrize("init,shape", [
+        (np.zeros((4, 2)), "(4, 2)"), (np.zeros((3, 3)), "(3, 3)"), (np.zeros(6), "(6,)"),
+        (np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), "(3, 2)"),
+        (np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]), "(3, 2)"),
+    ], ids=["extra-row", "extra-column", "1-D", "nan", "inf"])
+    def test_invalid_init_is_rejected(self, init, shape):
+        points, _ = make_gaussian_mixture(30, 2, centers=3, seed=5)
+        with pytest.raises(InvalidInputError, match=rf"^init must be a finite \(3, 2\) matrix, got shape {re.escape(shape)}$"):
+            it2fpcm(points, ClusteringParams(c=3, seed=0), init=init)
 
 
 class TestTypeReduce:

@@ -527,6 +527,42 @@ def test_it2fpcm_split_across_two_threads_equals_reference_bit_for_bit(
             assert len(threads) == (cap if want[0] != "raised" else 0)
 
 
+_INTERVAL = st.tuples(st.floats(1.05, 12.0), st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    d=st.integers(1, 5),
+    c=st.integers(1, 6),
+    xi=_INTERVAL,
+    eta=st.one_of(st.none(), _INTERVAL),
+    max_iters=st.integers(1, 20),
+    cap=st.sampled_from([1, 2]),
+)
+# xi1 = xi2 with eta = xi, and eta1 = eta2 apart from xi: one bound pass per iteration.
+@example(seed=3, n=50, d=3, c=4, xi=(3.0, 0.0), eta=None, max_iters=10, cap=1)
+@example(seed=4, n=50, d=3, c=4, xi=(3.0, 0.0), eta=(2.5, 0.0), max_iters=10, cap=1)
+# From ``_SPLIT_ROWS`` rows at two threads the partitions run on two halves.
+@example(seed=5, n=fneq.clustering._SPLIT_ROWS + 3, d=3, c=5, xi=(3.0, 0.0), eta=None, max_iters=6, cap=2)
+def test_it2fpcm_from_its_kmeans_plusplus_start_equals_reference_bit_for_bit(
+    seed, n, d, c, xi, eta, max_iters, cap
+):
+    """``init`` set to the k-means++ start that ``it2fpcm`` draws at its seed
+    gives every field of the default fit and of ``it2fpcm_reference``."""
+    points = lloyd_points(seed, n, d, n, "normal", "contiguous")
+    eta = {} if eta is None else {"eta_lower": eta[0], "eta_upper": sum(eta)}
+    params = ClusteringParams(c=min(c, n), xi_lower=xi[0], xi_upper=sum(xi), seed=seed,
+                              max_iters=max_iters, epsilon=1e-12, **eta)
+    start = kmeans_plusplus(points, params.c, np.random.default_rng(seed))
+    want = _fuzzy_outcome(points, params, it2fpcm_reference)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FNEQ_THREADS", str(cap))
+        assert _fuzzy_outcome(points, params, it2fpcm) == want
+        assert _fuzzy_outcome(points, params, lambda p, q: it2fpcm(p, q, init=start)) == want
+
+
 def training_items(seed: int, k_star: int, zero_share: float, values: str) -> Dataset:
     """Six-wide items with at least ``k_star`` non-zero rows. Integer and
     thirds data put float64 codewords on exact ties that the stored

@@ -241,10 +241,10 @@ def test_fit_opens_no_pool_inside_a_pool_at_one_thread_or_below_the_threshold(
     callers, lock = [], threading.Lock()
     fit = fneq.clustering.it2fpcm
 
-    def calling(points, params):
+    def calling(points, params, **kwargs):
         with lock:
             callers.append(threading.get_ident())
-        return fit(points, params)
+        return fit(points, params, **kwargs)
 
     monkeypatch.setattr(fneq.neq, "it2fpcm", calling)
     yielded, threads = spy_fits(monkeypatch)

@@ -1,9 +1,14 @@
 import csv
+import hashlib
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fneq.clustering
 import fneq.tuner
 from fneq.clustering import ClusteringParams
 from fneq.core import Dataset, QuerySet
@@ -20,7 +25,7 @@ from fneq.tuner import (
 )
 
 from conftest import convex_toy, make_gaussian_mixture, make_mips_data
-from oracles import recall_cost_reference
+from oracles import recall_cost_reference, xi_grid_reference
 
 
 class TestGaOptimize:
@@ -123,6 +128,74 @@ class TestMseObjective:
         )
         variance = float(np.mean(np.sum((points - points.mean(axis=0)) ** 2, axis=1)))
         assert objective(2.0, 2.2) < variance * 0.5
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_search_above_the_split_threshold_is_pinned(self, monkeypatch, cap):
+        """A search whose 4200 training rows exceed ``_SPLIT_ROWS``: at
+        ``FNEQ_THREADS=2`` the evolution's fits run on two threads and the
+        grid's on its pool threads. The best genome and the grid's bytes,
+        diagonal pairs included, are the values recorded before the search
+        shared one k-means++ start (numpy 2.4.6, OpenBLAS 0.3.31, x86-64)."""
+        monkeypatch.setenv("FNEQ_THREADS", str(cap))
+        points, _ = make_gaussian_mixture(5600, 4, centers=6, seed=12)
+        assert len(points) - len(points) // 4 > fneq.clustering._SPLIT_ROWS
+        objective = make_quantization_mse_objective(points, 4, ClusteringParams(seed=12, max_iters=5))
+        best = ga_optimize(objective, GAConfig(population=4, generations=1, seed=12, tolerance=1e-12))
+        grid = xi_grid(objective, (2.0, 5.0), steps=3)
+        assert (best.xi1, best.xi2, best.cost) == (2.3083256847593443, 7.83749401619977, 2.271213838889764)
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == (
+            "72bb9f6bbf5144e85421f85301b216a0d0834857ed55211dc3bfff246c020348")
+
+    def test_data_fault_on_the_first_call_names_its_genome(self):
+        """The shared start is drawn on the first call, so a fault in the
+        training rows surfaces there, typed and with the genome."""
+        points = np.random.default_rng(0).normal(size=(40, 3)) * 1e160
+        objective = make_quantization_mse_objective(points, 3, ClusteringParams(seed=0))
+        with pytest.raises(InvalidInputError, match=r"overflow, at genome \(xi1=2, xi2=2\)$"):
+            xi_grid(objective, (2.0, 3.0), steps=2)
+
+
+def spy_starts(monkeypatch) -> list:
+    """Record each ``kmeans_plusplus`` call, the tuner's and ``it2fpcm``'s.
+    Each takes 10 ms more, so threads that race to the first call overlap."""
+    calls, original = [], fneq.clustering.kmeans_plusplus
+
+    def spying(*args):
+        calls.append(threading.get_ident())
+        time.sleep(0.01)
+        return original(*args)
+
+    monkeypatch.setattr(fneq.clustering, "kmeans_plusplus", spying)
+    monkeypatch.setattr(fneq.tuner, "kmeans_plusplus", spying)
+    return calls
+
+
+class TestOneStartPerObjective:
+    def test_construction_draws_none_and_a_search_draws_one(self, monkeypatch):
+        calls = spy_starts(monkeypatch)
+        points, _ = make_gaussian_mixture(120, 3, centers=4, seed=2)
+        objective = make_quantization_mse_objective(points, 4, ClusteringParams(seed=2, max_iters=10))
+        assert calls == []
+        ga_optimize(objective, GAConfig(population=4, generations=2, seed=2))
+        xi_grid(objective, (1.5, 6.0), steps=3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cap", [2, 8])
+    def test_grid_threads_making_the_first_call_draw_one(self, monkeypatch, cap):
+        """The grid's pool threads race to the first call, switching every
+        few microseconds; one start is drawn, and the grid equals the loop's."""
+        monkeypatch.setenv("FNEQ_THREADS", str(cap))
+        calls = spy_starts(monkeypatch)
+        points, _ = make_gaussian_mixture(90, 3, centers=4, seed=6)
+        objective = make_quantization_mse_objective(points, 4, ClusteringParams(seed=6, max_iters=15))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grid = xi_grid(objective, (1.5, 6.0), steps=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1 and calls[0] != threading.get_ident()
+        assert grid.tobytes() == xi_grid_reference(objective, (1.5, 6.0), steps=4).tobytes()
 
 
 class TestRecallObjective:
