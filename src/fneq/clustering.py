@@ -109,9 +109,9 @@ class KMeansResult:
 class FuzzyClusterResult:
     """Interval centroids plus membership/possibility bounds.
 
-    Matrices are ``(c, n)``: rows are clusters, columns are points. The
-    lower bound never exceeds the upper bound and all entries lie in
-    [0, 1]; both facts are checked at construction. The centroid bounds
+    Matrices are ``(c, n)``, all four of one shape: rows are clusters, columns
+    are points. The lower bound never exceeds the upper bound and all entries
+    lie in [0, 1]; these facts are checked at construction. The centroid bounds
     are finite ``(c, D)`` matrices of one shape. Possibilities passed as
     the membership arrays themselves (``it2fpcm`` at ``eta = xi``) are
     checked and frozen once, and stay the same arrays.
@@ -142,6 +142,9 @@ class FuzzyClusterResult:
         if shared:
             object.__setattr__(self, "possibility_lower", self.membership_lower)
             object.__setattr__(self, "possibility_upper", self.membership_upper)
+        mu, tau = self.membership_lower.shape, self.possibility_lower.shape
+        if tau != mu:
+            raise InvalidInputError(f"possibility bounds must have the memberships' shape {mu}, got {tau}")
         for name in ("centroids_lower", "centroids_upper"):
             _freeze_field(self, name, ndim=2, nonempty=1)
         lo, up = self.centroids_lower.shape, self.centroids_upper.shape
@@ -247,12 +250,11 @@ def _lloyd_update(points, onehot, labels, centroids, closest) -> None:
     centroids[filled] = sums[filled] / counts[filled, None]
     if filled.all():
         return
+    empty = np.flatnonzero(~filled)
     closest = closest()
-    for j in np.flatnonzero(~filled):
-        far = int(np.argmax(closest))
-        if closest[far] > 0:
-            centroids[j] = points[far]
-            closest[far] = 0.0
+    far = np.argsort(-closest, kind="stable")[: len(empty)]  # the farthest first, ties by index
+    far = far[closest[far] > 0]
+    centroids[empty[: len(far)]] = points[far]
 
 
 def kmeans(

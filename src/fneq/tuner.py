@@ -1,9 +1,9 @@
 """Search for the fuzziness interval [xi1, xi2] by differential evolution.
 
 The search runs scipy's differential evolution with a small population,
-mutation 0.5, recombination 0.7 and tolerance 0.01. Genomes are repaired
-by swapping so the evaluated pair always satisfies ``xi1 <= xi2``; the
-best cost recorded per generation is monotone non-increasing.
+mutation 0.5, recombination 0.7 and tolerance 0.01. Genomes are repaired by
+swapping so the evaluated pair always satisfies ``xi1 <= xi2``; the best cost
+recorded per generation is monotone non-increasing. A NaN cost fails its genome.
 
 The default codebook objective is the mean squared quantization error of
 the fused fuzzy codebook on a held-out split; a recall-based objective
@@ -72,13 +72,16 @@ class GAResult:
 def _repaired(objective):
     def call(genome):
         x1, x2 = float(min(genome)), float(max(genome))
+        genome = f"genome (xi1={x1:.6g}, xi2={x2:.6g})"
         try:
-            return float(objective(x1, x2))
+            cost = float(objective(x1, x2))
         except Exception as exc:
-            genome = f"genome (xi1={x1:.6g}, xi2={x2:.6g})"
             if isinstance(exc, InvalidInputError):  # a data fault keeps its type
                 raise InvalidInputError(f"{exc}, at {genome}") from exc
             raise RuntimeError(f"objective failed at {genome}") from exc
+        if math.isnan(cost):  # scipy's argmin would rank it best
+            raise RuntimeError(f"objective returned NaN at {genome}")
+        return cost
 
     return call
 
@@ -88,25 +91,13 @@ def ga_optimize(objective, config: GAConfig) -> GAResult:
 
     Terminates when the population cost spread falls under the
     tolerance or the generation cap is reached; the returned genome
-    always satisfies ``xi1 <= xi2``.
+    always satisfies ``xi1 <= xi2``. ``best_history[g]`` is the least cost
+    evaluated by generation ``g``'s end, as scipy (>= 1.12) passes it.
     """
-    best_so_far = [math.inf]
     history: list[float] = []
-
-    wrapped = _repaired(objective)
-
-    def tracked(genome):
-        cost = wrapped(genome)
-        if cost < best_so_far[0]:
-            best_so_far[0] = cost
-        return cost
-
-    def per_generation(xk, convergence=None):
-        history.append(best_so_far[0])
-
     try:
         result = differential_evolution(
-            tracked,
+            _repaired(objective),
             bounds=[config.bounds, config.bounds],
             maxiter=config.generations,
             popsize=max(2, math.ceil(config.population / 2)),
@@ -115,7 +106,7 @@ def ga_optimize(objective, config: GAConfig) -> GAResult:
             tol=config.tolerance,
             seed=config.seed,
             polish=False,
-            callback=per_generation,
+            callback=lambda intermediate_result: history.append(float(intermediate_result.fun)),
         )
     except RuntimeError as exc:  # scipy re-raises the objective's ValueErrors as RuntimeError
         raise exc.__cause__ if isinstance(exc.__cause__, InvalidInputError) else exc
@@ -134,7 +125,7 @@ def xi_grid(objective, bounds: tuple[float, float], steps: int = 12) -> np.ndarr
     """Evaluate the (repaired) objective on a square grid; rows are
     ``(xi1, xi2, cost)`` in row-major order for the heat-map export. The
     objective runs once per unordered pair through ``_thread_map``, so it
-    must be thread-safe. The first failing pair in row-major order raises."""
+    must be thread-safe. The first failing pair in row-major order raises, NaN costs included."""
     if steps < 2:
         raise InvalidInputError("steps must be at least 2")
     wrapped = _repaired(objective)
@@ -157,9 +148,9 @@ def _at_interval(params: ClusteringParams, cost):
 
 
 def make_quantization_mse_objective(points: np.ndarray, k_star: int, params: ClusteringParams):
-    """Cost = mean squared quantization error of the fused codebook on a
-    held-out quarter of ``points``. Genomes change only the interval, so every fit
-    starts from the one k-means++ start at ``params.seed``, drawn by the first call."""
+    """Cost = mean squared quantization error of the fused codebook on a held-out
+    quarter of ``points``. Genomes change only the interval, so every fit starts from
+    the one k-means++ start at ``params.seed``, drawn by the first call, which validates both splits."""
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     order = rng.permutation(points.shape[0])
@@ -174,6 +165,7 @@ def make_quantization_mse_objective(points: np.ndarray, k_star: int, params: Clu
     def cost(p: ClusteringParams) -> float:
         with lock:  # the grid's pool threads may make the first call
             if not start:
+                _check_points(holdout, 1)
                 start.append(kmeans_plusplus(_check_points(train, k_star), k_star, np.random.default_rng(params.seed)))
         codebook = _fuzzy_fit(k_star, p, None, start[0])(train, p.seed)[0]
         err = holdout - codebook.codewords[nearest_codes(holdout, codebook)]

@@ -8,6 +8,7 @@ import scipy
 import fneq.clustering
 from fneq.clustering import (
     ClusteringParams,
+    _lloyd_update,
     encode_scalar,
     it2fpcm,
     kmeans,
@@ -110,6 +111,26 @@ class TestKMeans:
         nearest = squared_distances(points, early.centroids.codewords).argmin(axis=1)
         np.testing.assert_array_equal(early.assignments, nearest)
 
+
+    @pytest.mark.parametrize("positive", [200, 5])
+    def test_empty_cells_take_the_farthest_points_ties_by_index(self, positive):
+        """30 empty cells, repaired in ascending order, take the points with
+        the largest previous distances (ties to the lowest index), and stop
+        at distance zero: with 5 positive distances, 25 cells keep their
+        centroids. The distances take four values, so most of them tie."""
+        rng = np.random.default_rng(0)
+        points = np.arange(200.0)[:, None]
+        closest = rng.integers(1, 5, 200).astype(np.float64)
+        closest[rng.permutation(200)[positive:]] = 0.0
+        labels = np.arange(200) % 10
+        centroids = np.full((40, 1), -1.0)
+        _lloyd_update(points, (np.ones(200), np.arange(201)), labels, centroids, closest.copy)
+        far = sorted(range(200), key=lambda i: (-closest[i], i))[:30]
+        far = [i for i in far if closest[i] > 0]
+        want = np.full(30, -1.0)
+        want[: len(far)] = far
+        np.testing.assert_array_equal(centroids[10:, 0], want)
+        np.testing.assert_array_equal(centroids[:10, 0], [np.arange(j, 200, 10).mean() for j in range(10)])
 
     @pytest.mark.parametrize("exact_inertia", [True, False])
     def test_cell_sums_add_points_in_order(self, exact_inertia):
@@ -245,6 +266,18 @@ class TestIt2fpcm:
         lo, up = edit(result.centroids_lower, result.centroids_upper)
         with pytest.raises(InvalidInputError, match=match):
             dataclasses.replace(result, centroids_lower=lo, centroids_upper=up)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda r: {"possibility_lower": r.possibility_lower[:2], "possibility_upper": r.possibility_upper[:2]},
+         r"\(3, 60\), got \(2, 60\)$"),
+        (lambda r: {"membership_lower": r.membership_lower[:, :10], "membership_upper": r.membership_upper[:, :10]},
+         r"\(3, 10\), got \(3, 60\)$"),
+    ], ids=["fewer-clusters", "more-points"])
+    def test_possibilities_of_another_shape_are_rejected(self, edit, match):
+        points, _ = make_gaussian_mixture(60, 2, centers=3, seed=3)
+        result = it2fpcm(points, ClusteringParams(c=3, seed=0))
+        with pytest.raises(InvalidInputError, match="^possibility bounds must have the memberships' shape " + match):
+            dataclasses.replace(result, **edit(result))
 
     def test_possibilities_at_eta_equal_xi_are_the_frozen_memberships(self):
         points, _ = make_gaussian_mixture(60, 2, centers=3, seed=3)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import sys
 import threading
 import time
@@ -7,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fneq.clustering
 import fneq.tuner
@@ -17,6 +20,7 @@ from fneq.evaluate import exact_topk
 from fneq.neq import train_index
 from fneq.tuner import (
     GAConfig,
+    GAResult,
     ga_optimize,
     make_quantization_mse_objective,
     make_recall_objective,
@@ -50,6 +54,41 @@ class TestGaOptimize:
         result = ga_optimize(convex_toy, GAConfig(seed=3))
         history = np.asarray(result.best_history)
         assert np.all(np.diff(history) <= 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), population=st.integers(2, 12), ties=st.booleans())
+    def test_best_history_is_the_least_cost_evaluated_by_each_generation(self, seed, population, ties):
+        """Generation ``g`` ends after ``N (g + 2)`` evaluations: the initial
+        population of ``N`` (two genes times the population over two, and at
+        least 5 in scipy) and ``N`` trials per generation. Rounded costs tie often."""
+        costs = []
+
+        def recording(x1, x2):
+            costs.append(round(convex_toy(x1, x2), 0) if ties else convex_toy(x1, x2))
+            return costs[-1]
+
+        result = ga_optimize(recording, GAConfig(population=population, generations=8, seed=seed))
+        n = max(5, 2 * max(2, math.ceil(population / 2)))
+        assert len(costs) == result.n_evaluations == n * (result.n_generations + 1)
+        assert result.best_history == tuple(min(costs[: n * (g + 2)]) for g in range(result.n_generations))
+        assert result.cost == result.best_history[-1] == min(costs)
+
+    def test_a_nan_cost_fails_its_genome(self):
+        """scipy ranks NaN below every cost, so a NaN must not reach it: the
+        search and the grid raise at the genome that returned it."""
+        seen = []
+
+        def nan_on_the_fifth_call(x1, x2):
+            seen.append((x1, x2))
+            return math.nan if len(seen) == 5 else convex_toy(x1, x2)
+
+        with pytest.raises(RuntimeError) as info:
+            ga_optimize(nan_on_the_fifth_call, GAConfig(population=8, generations=6, seed=0))
+        x1, x2 = seen[4]
+        assert str(info.value) == f"objective returned NaN at genome (xi1={x1:.6g}, xi2={x2:.6g})"
+        assert len(seen) == 5
+        with pytest.raises(RuntimeError, match=r"^objective returned NaN at genome \(xi1=2, xi2=7\)$"):
+            xi_grid(lambda x1, x2: math.nan if (x1, x2) == (2.0, 7.0) else convex_toy(x1, x2), (2.0, 12.0), steps=3)
 
     def test_genomes_repaired_and_bounded(self):
         seen = []
@@ -142,17 +181,22 @@ class TestMseObjective:
         objective = make_quantization_mse_objective(points, 4, ClusteringParams(seed=12, max_iters=5))
         best = ga_optimize(objective, GAConfig(population=4, generations=1, seed=12, tolerance=1e-12))
         grid = xi_grid(objective, (2.0, 5.0), steps=3)
-        assert (best.xi1, best.xi2, best.cost) == (2.3083256847593443, 7.83749401619977, 2.271213838889764)
+        assert best == GAResult(xi1=2.3083256847593443, xi2=7.83749401619977, cost=2.271213838889764,
+                                n_generations=1, n_evaluations=10, best_history=(2.271213838889764,))
         assert hashlib.sha256(grid.tobytes()).hexdigest() == (
             "72bb9f6bbf5144e85421f85301b216a0d0834857ed55211dc3bfff246c020348")
 
     def test_data_fault_on_the_first_call_names_its_genome(self):
         """The shared start is drawn on the first call, so a fault in the
-        training rows surfaces there, typed and with the genome."""
-        points = np.random.default_rng(0).normal(size=(40, 3)) * 1e160
-        objective = make_quantization_mse_objective(points, 3, ClusteringParams(seed=0))
-        with pytest.raises(InvalidInputError, match=r"overflow, at genome \(xi1=2, xi2=2\)$"):
-            xi_grid(objective, (2.0, 3.0), steps=2)
+        training rows or in the held-out quarter surfaces there, typed and
+        with the genome."""
+        overflowing = np.random.default_rng(0).normal(size=(40, 3)) * 1e160
+        nan_held_out = np.random.default_rng(0).normal(size=(400, 4))
+        nan_held_out[np.random.default_rng(0).permutation(400)[3]] = np.nan  # held out: the quarter that leads the seed-0 permutation
+        for points, match in [(overflowing, "overflow"), (nan_held_out, "^points must be finite")]:
+            objective = make_quantization_mse_objective(points, 3, ClusteringParams(seed=0))
+            with pytest.raises(InvalidInputError, match=match + r", at genome \(xi1=2, xi2=2\)$"):
+                xi_grid(objective, (2.0, 3.0), steps=2)
 
 
 def spy_starts(monkeypatch) -> list:
