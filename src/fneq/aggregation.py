@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Codebook
+from .core import Codebook, _frozen
 from .clustering import FuzzyClusterResult
 from .errors import InvalidInputError
 
@@ -71,7 +71,7 @@ class FuzzyMeasure:
 
 @dataclass(frozen=True)
 class SugenoInputs:
-    """Evaluations and membership degrees for a set of sources."""
+    """Evaluations and membership degrees for a set of sources, stored as read-only copies."""
 
     h_values: np.ndarray
     memberships: np.ndarray
@@ -87,8 +87,8 @@ class SugenoInputs:
             raise InvalidInputError("h_values must lie in [0, 1]")
         if np.any(mem < 0) or np.any(mem > 1) or not np.all(np.isfinite(mem)):
             raise InvalidInputError("memberships must lie in [0, 1]")
-        object.__setattr__(self, "h_values", h)
-        object.__setattr__(self, "memberships", mem)
+        object.__setattr__(self, "h_values", _frozen(h))
+        object.__setattr__(self, "memberships", _frozen(mem))
 
 
 def sugeno_integral(inputs: SugenoInputs, measure: FuzzyMeasure) -> float:

@@ -131,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--m", type=int, default=3, help="total codebooks (recall objective)")
     tune.add_argument("--m-prime", type=int, default=1)
     tune.add_argument("--queries", default=None, help="query file (recall objective)")
-    tune.add_argument("--population", type=int, default=GAConfig.population)
+    tune.add_argument("--population", type=int, default=GAConfig.population,
+                      help="genomes per generation, rounded up to even and at least 5")
     tune.add_argument("--generations", type=int, default=GAConfig.generations)
     tune.add_argument("--grid-steps", type=int, default=8)
     tune.add_argument("--seed", type=int, default=0)
@@ -239,6 +240,9 @@ def _cmd_eval(args) -> int:
         f"precision={report.precision_mean:.4f} f1={report.f1_mean:.4f} "
         f"time={report.time_mean:.3f}s std={report.recall_std:.4f}"
     )
+    p = config.params
+    print(f"retrained at the library defaults xi1={p.xi_lower} xi2={p.xi_upper} epsilon={p.epsilon} "
+          f"max_iters={p.max_iters}: the index file stores none of them")
     print(f"wrote {metrics_path} and {curve_path}")
     return EXIT_OK
 

@@ -410,9 +410,6 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams, *, init: np.ndarray | 
     same_exponents = eta == (params.xi_lower, params.xi_upper)
     degenerate = params.xi_lower == params.xi_upper and eta[0] == eta[1]
     objective = np.inf
-    improvement = np.inf
-    converged = False
-    n_iter = 0
     best = None
 
     def partitions(mid, rows):
@@ -449,13 +446,11 @@ def it2fpcm(points: np.ndarray, params: ClusteringParams, *, init: np.ndarray | 
             objective = new_objective
             if best is None or objective < best[0]:
                 best = (objective, v_lo, v_up, mu, tau)
-            if improvement < params.epsilon:
-                converged = True
+            converged = improvement < params.epsilon
+            if converged:
                 break
-
-    if not converged:
-        # Iteration budget exhausted: hand back the best state seen.
-        objective, v_lo, v_up, mu, tau = best
+        else:  # iteration budget exhausted: hand back the best state seen
+            objective, v_lo, v_up, mu, tau = best
 
     mu = (mu[0].T, mu[1].T)
     tau = mu if same_exponents else (tau[0].T, tau[1].T)

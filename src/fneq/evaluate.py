@@ -50,7 +50,7 @@ def exact_topk(dataset: Dataset, queries: QuerySet, t: int) -> GroundTruth:
         raise InvalidInputError(f"t={t} must be within [1, {dataset.n}]")
     if queries.count and queries.dim != dataset.dim:
         raise InvalidInputError("queries and dataset disagree on dimensionality")
-    rows = [select_top_k(s, t) for s in queries.queries @ dataset.items.T]
+    rows = _prefix_truths(dataset, queries, [dataset.n], t)[0]
     ids = np.stack(rows) if rows else np.empty((0, t), dtype=np.int64)
     return GroundTruth(ids=ids, t=t)
 

@@ -120,10 +120,8 @@ class IndexArtifact:
             raise InvalidInputError(f"layout D={layout.D} disagrees with metadata D={md.D}")
         if any(cb.dim != layout.D_star for cb in self.dir_codebooks):
             raise InvalidInputError(f"direction codebooks must have width D_star={layout.D_star}")
-        if self.mode == "rq" and (layout.m_dir != 1 or not self.dir_codebooks):
-            raise InvalidInputError("rq needs at least one stage, on a layout with m_dir=1")
-        if self.mode != "rq" and len(self.dir_codebooks) != layout.m_dir:
-            raise InvalidInputError(f"expected one direction codebook per sub-space ({layout.m_dir})")
+        if layout.m_dir != (m_dir := _mode_m_dir(self.mode, md.m, md.m_prime)):
+            raise InvalidInputError(f"{self.mode} at m={md.m} needs m_dir={m_dir}, not {layout.m_dir}")
         object.__setattr__(self, "norm_codebooks", norm_cbs)
         object.__setattr__(self, "dir_codebooks", dir_cbs)
 

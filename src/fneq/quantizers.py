@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusteringParams, _nearest, kmeans
-from .core import Codebook, CodeMatrix, Dataset, SubVectorLayout, _thread_map
+from .core import Codebook, CodeMatrix, Dataset, SubVectorLayout, _frozen, _require_finite, _thread_map
 from .errors import CorruptionError, InvalidInputError
 
 
@@ -53,12 +53,12 @@ class RQIndex:
 
 @dataclass(frozen=True)
 class ADCTable:
-    """Per-query partial inner products: ``tables[j][i] = <q_j, c_{j,i}>``."""
+    """Per-query partial inner products: ``tables[j][i] = <q_j, c_{j,i}>`` (a read-only copy)."""
 
     tables: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tables", np.asarray(self.tables, dtype=np.float64))
+        object.__setattr__(self, "tables", _frozen(np.asarray(self.tables, dtype=np.float64)))
 
 
 def _subseeds(seed: int, count: int) -> list[int]:
@@ -204,11 +204,12 @@ def build_adc_table(
     """Precompute ``<q_j, codeword>`` for every codebook and codeword.
 
     One table costs ``O(k_star * D_star)`` per codebook; scanning an item
-    afterwards is one lookup per codebook.
+    afterwards is one lookup per codebook. A non-finite ``q`` raises ``InvalidInputError``.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (layout.D,):
         raise InvalidInputError(f"expected a query of length {layout.D}")
+    _require_finite(q, "q")
     k_star = max(cb.k_star for cb in codebooks)
     tables = np.zeros((len(codebooks), k_star))
     for j, (cb, sl) in enumerate(zip(codebooks, _codebook_slices(codebooks, layout))):

@@ -33,7 +33,8 @@ GRID_HEADER = ("xi1", "xi2", "cost")
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Evolution-search settings; bounds apply to both genes."""
+    """Evolution-search settings; bounds apply to both genes. scipy sizes the population per
+    gene, so a generation evaluates ``max(5, 2 * ceil(population / 2))`` genomes."""
 
     population: int = 10
     mutation_rate: float = 0.5

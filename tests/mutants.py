@@ -36,9 +36,16 @@ class Mutant(NamedTuple):
 
 
 TUNER, CLUSTERING = "src/fneq/tuner.py", "src/fneq/clustering.py"
+NEQ, QUANTIZERS, AGGREGATION = "src/fneq/neq.py", "src/fneq/quantizers.py", "src/fneq/aggregation.py"
 HISTORY = "tests/test_tuner.py::TestGaOptimize::test_best_history_is_the_least_cost_evaluated_by_each_generation"
 REPAIR = "tests/test_clustering.py::TestKMeans::test_empty_cells_take_the_farthest_points_ties_by_index"
 LLOYD = "tests/test_properties.py::test_kmeans_equals_lloyd_reference_bit_for_bit"
+IT2FPCM = "tests/test_properties.py::test_it2fpcm_equals_reference_bit_for_bit"
+STAGES = "tests/test_properties.py::test_stage_kernels_equal_references_bit_for_bit"
+EXACT = ("tests/test_evaluate.py::TestExactTopk::test_full_depth_orders_everything",
+         "tests/test_evaluate.py::TestExactTopk::test_matches_full_sort_oracle")
+NON_FINITE_QUERY = "tests/test_neq.py::TestTopK::test_query_that_cannot_be_ranked_is_rejected"
+SUGENO_COPIES = "tests/test_aggregation.py::TestSugenoIntegral::test_inputs_are_read_only_copies"
 
 MUTANTS = (
     Mutant(TUNER, "history.append(float(intermediate_result.fun))",
@@ -53,6 +60,34 @@ MUTANTS = (
     Mutant(CLUSTERING, 'np.argsort(-closest, kind="stable")', 'np.argsort(closest, kind="stable")', (REPAIR, LLOYD)),
     Mutant(CLUSTERING, "far = far[closest[far] > 0]", "far = far[closest[far] >= 0]", (REPAIR, LLOYD)),
     Mutant(CLUSTERING, 'np.argsort(-closest, kind="stable")', "np.argsort(-closest)", (REPAIR, LLOYD)),
+    # One exit from the IT2FPCM loop, the index-layout rule, the exact top-t and the query checks.
+    Mutant(CLUSTERING, "converged = improvement < params.epsilon", "converged = improvement > params.epsilon",
+           ("tests/test_clustering.py::TestIt2fpcm::test_interval_ordering_and_range", IT2FPCM)),
+    Mutant(CLUSTERING, "            objective, v_lo, v_up, mu, tau = best\n", "            pass\n", (IT2FPCM,)),
+    Mutant(NEQ, "if layout.m_dir != (m_dir := _mode_m_dir(self.mode, md.m, md.m_prime)):", "if False:",
+           ("tests/test_neq.py::TestIndexArtifact::test_direction_codebooks_must_follow_the_layout",)),
+    Mutant("src/fneq/evaluate.py", "[dataset.n], t)", "[dataset.n - 1], t)", EXACT),
+    Mutant(QUANTIZERS, '    _require_finite(q, "q")\n', "", (NON_FINITE_QUERY,)),
+    Mutant(QUANTIZERS, '"tables", _frozen(np.asarray(self.tables, dtype=np.float64))',
+           '"tables", np.asarray(self.tables, dtype=np.float64)',
+           ("tests/test_quantizers.py::TestAdcTable::test_tables_are_a_read_only_copy",)),
+    Mutant(AGGREGATION, '"h_values", _frozen(h)', '"h_values", h', (SUGENO_COPIES,)),
+    Mutant(AGGREGATION, '"memberships", _frozen(mem)', '"memberships", mem', (SUGENO_COPIES,)),
+    # Recorded by hand on scratch copies before this catalogue existed.
+    Mutant(QUANTIZERS, "out[:, sl] += cb.codewords[col]", "out[:, sl] = cb.codewords[col]", (STAGES,)),
+    Mutant(QUANTIZERS, "residual[:, sl] -= cb.codewords[codes[:, j]]", "pass", (STAGES,)),
+    Mutant(CLUSTERING, "partitions(mid, points[:half]), lambda: partitions(mid, points[half:])",
+           "partitions(mid, points[half:]), lambda: partitions(mid, points[:half])",
+           ("tests/test_properties.py::test_it2fpcm_from_its_kmeans_plusplus_start_equals_reference_bit_for_bit",
+            "tests/test_cli.py::TestTune::test_grid_file_and_best_line_identical_at_one_and_two_threads_above_the_threshold")),
+    Mutant(TUNER, "            if isinstance(exc, InvalidInputError):  # a data fault keeps its type\n"
+                  '                raise InvalidInputError(f"{exc}, at {genome}") from exc\n', "",
+           ("tests/test_cli.py::TestExitCodes::test_failure_exit_code_and_message[tune-recall-codewords-beyond-float32]",
+            "tests/test_tuner.py::TestMseObjective::test_data_fault_on_the_first_call_names_its_genome")),
+    Mutant(QUANTIZERS, "tol=TRAINING_TOL, exact_inertia=False)", "tol=TRAINING_TOL)",
+           ("tests/test_quantizers.py::test_every_training_fit_stops_at_the_training_tolerance",)),
+    Mutant(CLUSTERING, "return d2.argmin(axis=0), float(", "return len(d2) - 1 - d2[::-1].argmin(axis=0), float(",
+           (LLOYD,)),
 )
 
 

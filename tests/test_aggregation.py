@@ -60,6 +60,15 @@ class TestSugenoIntegral:
             inputs = SugenoInputs(h_values=np.full(n, v), memberships=np.ones(n))
             assert sugeno_integral(inputs, random_measure(rng, n)) == pytest.approx(v)
 
+    def test_inputs_are_read_only_copies(self):
+        h, mem = np.array([0.2, 0.9]), np.array([1.0, 1.0])
+        inputs = SugenoInputs(h, mem)
+        h[0] = 5.0  # out of [0, 1]: it must not reach the checked inputs
+        mem[1] = 0.0
+        np.testing.assert_array_equal(inputs.h_values, [0.2, 0.9])
+        np.testing.assert_array_equal(inputs.memberships, [1.0, 1.0])
+        assert not inputs.h_values.flags.writeable and not inputs.memberships.flags.writeable
+
     def test_hand_evaluated_two_sources(self):
         inputs = SugenoInputs(h_values=[1.0, 0.0], memberships=[1.0, 1.0])
         assert sugeno_integral(inputs, FuzzyMeasure()) == pytest.approx(0.5)

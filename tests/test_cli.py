@@ -278,6 +278,27 @@ class TestEval:
         assert float(rows[1][3]) == 1.0
         assert float(rows[1][7]) == 0.0  # single iteration -> std 0
 
+    def test_eval_names_the_parameters_it_retrained_at(self, workspace, capsys):
+        # The index file stores no interval, so indexes trained at different
+        # intervals evaluate alike, and the output says which one was used.
+        tmp, _, _ = workspace
+        lines = []
+        for name, xi in (("a", ("8.5", "9.1")), ("b", ("1.1", "1.15"))):
+            assert run(["train", "--data", tmp / "items.csv", "--mode", "fuzzy2_neq",
+                        "--m", 4, "--m-prime", 1, "--k-star", 8, "--xi1", xi[0], "--xi2", xi[1],
+                        "--out", tmp / f"{name}.fneq"]) == 0
+            capsys.readouterr()
+            assert run(["eval", "--index", tmp / f"{name}.fneq", "--data", tmp / "items.csv",
+                        "--queries", tmp / "queries.csv", "--truth-depth", 5,
+                        "--iterations", 1, "--out-prefix", tmp / name]) == 0
+            lines.append(capsys.readouterr().out.splitlines())
+        assert (tmp / "a.fneq").read_bytes() != (tmp / "b.fneq").read_bytes()
+        for out in lines:
+            assert out[1] == ("retrained at the library defaults xi1=8.5 xi2=9.1 epsilon=1e-05 "
+                              "max_iters=100: the index file stores none of them")
+            assert out[2].startswith("wrote ")
+        assert lines[0][0].split(" time=")[0] == lines[1][0].split(" time=")[0]
+
     def test_items_list_beyond_n_is_exit_1(self, workspace):
         tmp, _, _ = workspace
         assert run(["train", "--data", tmp / "items.csv", "--mode", "pq",

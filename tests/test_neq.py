@@ -408,3 +408,15 @@ class TestTopK:
         index = tiny_artifact([1.0], [[1.0, 0.0]], [[0, 0]])
         with pytest.raises(InvalidInputError):
             top_k(np.ones(2), index, k=1, ranking="cosine")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_query_that_cannot_be_ranked_is_rejected(self, bad):
+        data = Dataset(make_mips_data(300, 8, seed=17))
+        index = train_index(data, "neq_kmeans", 3, 1, 8, ClusteringParams(seed=17))
+        q = np.random.default_rng(17).normal(size=8)
+        q[3] = bad
+        for k in (5, 300):
+            with pytest.raises(InvalidInputError, match="q must contain only finite values"):
+                top_k(q, index, k=k)
+        with pytest.raises(InvalidInputError, match="q must contain only finite values"):
+            estimate_inner_product(q, index.codes.codes[0], index)

@@ -10,6 +10,7 @@ from fneq.core import Codebook, Dataset, SubVectorLayout
 from fneq.errors import CorruptionError, InvalidInputError
 from fneq.neq import train_index
 from fneq.quantizers import (
+    ADCTable,
     TRAINING_TOL,
     _subseeds,
     build_adc_table,
@@ -247,3 +248,12 @@ class TestAdcTable:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             build_adc_table(np.zeros(5), self.codebooks, self.layout)
+
+    def test_tables_are_a_read_only_copy(self):
+        table = build_adc_table(np.ones(6), self.codebooks, self.layout)
+        assert not table.tables.flags.writeable
+        t = np.arange(6.0).reshape(2, 3)
+        kept = ADCTable(t)
+        t[0, 0] = 5.0
+        np.testing.assert_array_equal(kept.tables, np.arange(6.0).reshape(2, 3))
+        assert not kept.tables.flags.writeable
